@@ -123,10 +123,15 @@ class CouplingGrid:
             for row in reader:
                 if not row or not "".join(row).strip():
                     continue
-                ell, m = int(row[0]), int(row[1])
+                if len(row) < 4:
+                    raise DomainError(f"grid CSV row {row!r} needs four cells")
+                try:
+                    ell, m = int(row[0]), int(row[1])
+                except ValueError as exc:
+                    raise DomainError(f"grid CSV row {row!r} needs integer ell, m") from exc
                 if (ell, m) in cells:
                     raise DomainError(f"duplicate grid cell ({ell},{m})")
-                cells[(ell, m)] = (mpf(row[2].strip()), mpf(row[3].strip()))
+                cells[(ell, m)] = (to_mpf(row[2].strip()), to_mpf(row[3].strip()))
         if not cells:
             raise DomainError("grid CSV contains no cells")
         L = max(e for e, _ in cells)

@@ -63,8 +63,14 @@ def tol(k, digits):
 
 
 def to_mpf(x):
-    """Convert a scalar (mpf, str, int, float) to mpf at current precision."""
-    return mpf(x)
+    """Convert a scalar (mpf, str, int, float) to mpf at current precision.
+
+    A string that is not a number raises DomainError.
+    """
+    try:
+        return mpf(x)
+    except ValueError as exc:
+        raise DomainError(f"not a number: {x!r}") from exc
 
 
 def eye(n):
@@ -137,8 +143,29 @@ def log_abs_det(A):
 
 
 def log_det_one_plus(Y):
-    """log det(1 + Y) for a square matrix with the identity added in place."""
+    """log det(1 + Y) for a square matrix Y.
+
+    When n * max|Y| < 1/2, 1 + Y is strictly diagonally dominant, so
+    elimination needs no pivoting and runs on Y itself: each pivot is
+    carried as d_k = u_kk - 1 and log det(1 + Y) = sum_k log1p(d_k).  The
+    result then keeps its relative digits however small Y is; forming 1 + Y
+    would round away every digit of det(1 + Y) - 1 below 2^-prec.  Larger
+    Y goes through log_abs_det(1 + Y).
+    """
     n = Y.rows
+    V = Y.tolist()
+    if 2 * n * max(abs(x) for row in V for x in row) < 1:
+        logdet = mpf(0)
+        for k in range(n):
+            Vk = V[k]
+            logdet += mpmath.log1p(Vk[k])
+            for i in range(k + 1, n):
+                Vi = V[i]
+                f = Vi[k] / (1 + Vk[k])
+                if f:
+                    for j in range(k + 1, n):
+                        Vi[j] -= f * Vk[j]
+        return logdet
     Z = Y.copy()
     for i in range(n):
         Z[i, i] += 1
@@ -146,6 +173,42 @@ def log_det_one_plus(Y):
     if s <= 0:
         raise ConsistencyError("det(1 + Y) is not positive")
     return ld
+
+
+def trace_solve(A, B):
+    """tr(A^(-1) B) for square n x n matrices given as lists of rows.
+
+    One LU of A with partial pivoting (ties to the lowest row index), in
+    Crout order so that each entry of L, U and the solve is one dot product,
+    rounded once by mpmath.fdot.  The row interchanges are applied to B, and
+    for each column c of X = A^(-1) B back substitution stops at X[c][c].
+    Neither input is modified.
+    """
+    n = len(A)
+    U = [row[:] for row in A]
+    R = [row[:] for row in B]
+    for k in range(n):
+        col = [U[p][k] for p in range(k)]
+        for i in range(k, n):
+            U[i][k] -= mpmath.fdot(zip(U[i], col))
+        piv = max(range(k, n), key=lambda i: abs(U[i][k]))
+        U[k], U[piv] = U[piv], U[k]
+        R[k], R[piv] = R[piv], R[k]
+        Uk = U[k]
+        for j in range(k + 1, n):
+            Uk[j] -= mpmath.fdot(zip(Uk, [U[p][j] for p in range(k)]))
+        for i in range(k + 1, n):
+            U[i][k] /= Uk[k]
+    trace = mpf(0)
+    for c in range(n):
+        z = []                      # column c of L^(-1) B
+        for k in range(n):
+            z.append(R[k][c] - mpmath.fdot(zip(U[k], z)))
+        xs = []                     # X[n-1][c], X[n-2][c], ..., X[c][c]
+        for k in reversed(range(c, n)):
+            xs.append((z[k] - mpmath.fdot(zip(U[k][k + 1:], reversed(xs)))) / U[k][k])
+        trace += xs[-1]
+    return trace
 
 
 def bracketed_root(f, a, b, xtol, maxiter=None):

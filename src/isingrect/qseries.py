@@ -11,6 +11,11 @@ in the ordered phase; by duality the same product gives z = tanh(K) in the
 paramagnetic phase.  The bulk, surface, and corner free energies then have
 closed product expressions on either side of the critical point.
 
+The inverse map is closed too: q is the square root of the elliptic nome of
+modulus k = (2t/(1 - t^2))^2, so q_of_t evaluates two arithmetic-geometric
+means, for 0 < t < sqrt(2) - 1 and q < Q_CUTOFF, and certifies the result
+with one product t_of_q(q) (see q_of_t).
+
 Assembly conventions (verified against exact finite-lattice computations to
 better than 1e-10):
 
@@ -30,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .lattice import critical_coupling_isotropic
-from .numerics import DomainError, to_mpf, working_dps
+from .numerics import DomainError, PrecisionError, to_mpf, tol, working_dps
 
 Q_CUTOFF = mpf("0.9")
 
@@ -61,12 +66,6 @@ class PeriodicCoeffMatrix:
         """c_k as an exact Fraction."""
         r = k % self.period
         return sum(Fraction(row[r]) * k ** j for j, row in enumerate(self.rows))
-
-    def exponent_bound(self, k):
-        bound = Fraction(0)
-        for j, row in enumerate(self.rows):
-            bound += max(abs(Fraction(x)) for x in row) * k ** j
-        return bound
 
 
 def _cm(*rows):
@@ -103,6 +102,7 @@ CORNER_ABOVE_QSQ = _cm([0, 0, -3, 0],
 
 
 def _frac_to_mpf(fr):
+    fr = Fraction(fr)
     return mpf(fr.numerator) / mpf(fr.denominator)
 
 
@@ -118,6 +118,9 @@ def pi_product(C, q, digits=40):
             raise DomainError("pi_product requires 0 <= q < 1")
         if q == 0:
             return mpf(0), 0
+        rows = [[_frac_to_mpf(x) for x in row] for row in C.rows]
+        bounds = [max(abs(x) for x in row) for row in rows]
+        p = C.period
         cutoff = mpf(10) ** (-(digits + 5))
         total = mpf(0)
         k = 0
@@ -125,10 +128,11 @@ def pi_product(C, q, digits=40):
         while True:
             k += 1
             qk *= q
-            ck = C.exponent(k)
+            r = k % p
+            ck = sum(row[r] * k ** j for j, row in enumerate(rows))
             if ck:
-                total += _frac_to_mpf(ck) * mpmath.log(1 - qk)
-            if k >= C.period and _frac_to_mpf(C.exponent_bound(k)) * qk < cutoff:
+                total += ck * mpmath.log(1 - qk)
+            if k >= p and sum(b * k ** j for j, b in enumerate(bounds)) * qk < cutoff:
                 return total, k
 
 
@@ -143,29 +147,40 @@ def t_of_q(q, digits=40):
 
 
 def q_of_t(t, digits=40):
-    """Invert t_of_q by bisection on [0, Q_CUTOFF]; monotone on that range."""
+    """Inverse of t_of_q in closed form, through the elliptic modulus of t.
+
+    With k = (2t/(1 - t^2))^2 (sinh^2 2K above T_c, 1/sinh^2 2K below) and
+    its complement k' = sqrt((1 - 2t - t^2)(1 + 2t - t^2)(1 + k))/(1 - t^2),
+    computed without forming 1 - k^2,
+
+        q = exp(-(pi/2) agm(1, k') / agm(1, k)).
+
+    The domain is 0 < t < sqrt(2) - 1 with q < Q_CUTOFF; anything else raises
+    DomainError.  One forward product certifies the result: a relative
+    defect |t_of_q(q) - t| / t above 10^(-digits) raises PrecisionError.
+    """
     with working_dps(digits):
         t = to_mpf(t)
         if t <= 0:
             raise DomainError("q_of_t requires t > 0")
-        tmax = t_of_q(Q_CUTOFF, digits)
-        if t >= tmax:
+        minus, plus = 1 - 2 * t - t * t, 1 + 2 * t - t * t
+        q = None
+        if minus > 0:
+            k = (2 * t / (1 - t * t)) ** 2
+            kp = mpmath.sqrt(minus * plus * (1 + k)) / (1 - t * t)
+            q = mpmath.exp(-mpmath.pi / 2 * mpmath.agm(1, kp) / mpmath.agm(1, k))
+        if q is None or q >= Q_CUTOFF:
+            tmax = t_of_q(Q_CUTOFF, digits)
             raise DomainError(
                 f"t = {mpmath.nstr(t, 8)} is outside the invertible range "
                 f"(needs t < {mpmath.nstr(tmax, 8)}, i.e. a coupling away from critical)"
             )
-        a, b = mpf(0), Q_CUTOFF
-        fa = -t
-        for _ in range(int(3.4 * mp.dps) + 20):
-            c = (a + b) / 2
-            fc = t_of_q(c, digits) - t
-            if fc == 0:
-                return c
-            if fa * fc < 0:
-                b = c
-            else:
-                a, fa = c, fc
-        return (a + b) / 2
+        defect = abs(t_of_q(q, digits) - t) / t
+        if defect > tol(0, digits):
+            raise PrecisionError(
+                f"q_of_t: t_of_q(q) misses t = {mpmath.nstr(t, 8)} by a relative "
+                f"{mpmath.nstr(defect, 3)}")
+        return q
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import mpmath
 from mpmath import mpf
 
 from .lattice import HomogeneousCouplings, critical_coupling_isotropic
-from .numerics import DomainError, nstr, to_mpf, working_dps
+from .numerics import DomainError, nstr, to_mpf, trace_solve, working_dps
 from .qseries import free_energy_pieces
 from .spectral import find_modes, log_strip_part, log_zsres, residual_system
 
@@ -77,19 +77,17 @@ def casimir_force_strip(L, M, Kh, Kv, digits=40, rs=None):
             hom = HomogeneousCouplings.from_K(Kh, Kv, digits)
             spectrum = find_modes(hom.z, hom.t, M, digits)
             rs = residual_system(spectrum, L, digits)
-        h = M // 2
-        one_plus = rs.Y.copy()
-        for i in range(h):
-            one_plus[i, i] += 1
-        Ge = mpmath.matrix(h, h)
-        Go = mpmath.matrix(h, h)
-        for i, e in enumerate(rs.even):
-            Ge[i, i] = rs.gamma_hat[e]
-        for i, o in enumerate(rs.odd):
-            Go[i, i] = rs.gamma_hat[o]
-        dY = -Ge * rs.Y + rs.A * (Go * rs.B)
-        X = one_plus ** -1 * dY
-        return sum(X[i, i] for i in range(h)) / M
+        Y = rs.Y.tolist()
+        one_plus = [row[:] for row in Y]
+        for i in range(M // 2):
+            one_plus[i][i] += 1
+        # dY/dL = -diag(gamma_e) Y + A diag(gamma_o) B, by row scalings
+        gB = [[rs.gamma_hat[o] * x for x in row] for o, row in zip(rs.odd, rs.B.tolist())]
+        gB_cols = list(zip(*gB))
+        dY = [[mpmath.fdot(zip(a_row, col)) - rs.gamma_hat[e] * y
+               for col, y in zip(gB_cols, y_row)]
+              for e, a_row, y_row in zip(rs.even, rs.A.tolist(), Y)]
+        return trace_solve(one_plus, dY) / M
 
 
 def casimir_force_fd(L, M, Kh, Kv, digits=40, dL=mpf("1e-4")):

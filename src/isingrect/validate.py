@@ -25,7 +25,7 @@ from .lattice import (
     LatticeSpec,
     critical_coupling_isotropic,
 )
-from .numerics import working_dps
+from .numerics import tol, working_dps
 
 
 @dataclass
@@ -182,11 +182,15 @@ def check_qseries(digits):
     the bulk/surface limits."""
     out = []
     with working_dps(digits):
+        # d log q / d log t reaches 3e10 at q = 0.85, so t is made 20 digits
+        # beyond the inversion: at `digits`, t_of_q's own truncation (about
+        # 1e-45 at 40 digits) would come back amplified to 3e-35
         worst = mpf(0)
-        for qs in ("0.01", "0.1", "0.25", "0.4", "0.5"):
+        for qs in ("1e-30", "0.01", "0.1", "0.25", "0.4", "0.5", "0.85"):
             q = mpf(qs)
-            worst = max(worst, abs(qseries.q_of_t(qseries.t_of_q(q, digits), digits) - q))
-        out.append(_result("qseries-roundtrip", worst, mpf(10) ** -10))
+            back = qseries.q_of_t(qseries.t_of_q(q, digits + 20), digits)
+            worst = max(worst, abs(back - q) / q)
+        out.append(_result("qseries-roundtrip", worst, tol(0, digits)))
         worst8 = mpf(0)
         for qs in ("0.05", "0.2", "0.4", "0.5"):
             q = mpf(qs)

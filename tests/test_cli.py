@@ -169,3 +169,19 @@ def test_sweep_crosses_critical_coupling(capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--sweep-K", "oops", "--sizes", "4")
     assert code == 2
+
+
+def test_eval_non_numeric_coupling(capsys):
+    code, _, err = run(capsys, "eval", "--path", "pfaffian", "-L", "2", "-M", "2",
+                       "--Kh", "abc", "--Kv", "0.3")
+    assert code == 2
+    assert err.startswith("domain error:")
+
+
+def test_eval_grid_non_numeric_cell(capsys, tmp_path):
+    path = tmp_path / "grid.csv"
+    for cells in ("1,1,0.3,x", "1,a,0.3,0.2"):
+        path.write_text("ell,m,Kh,Kv\n" + cells + "\n")
+        code, _, err = run(capsys, "eval", "--path", "pfaffian", "--grid", str(path))
+        assert code == 2
+        assert err.startswith("domain error:")

@@ -2,7 +2,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from isingrect.numerics import DomainError, working_dps
+from isingrect.numerics import DomainError, PrecisionError, working_dps
 from isingrect.qseries import (
     BULK_ABOVE,
     BULK_ABOVE_P4,
@@ -80,10 +80,38 @@ def test_roundtrip_and_monotone():
             assert abs(q_of_t(v) - q) < mpf("1e-36")
 
 
+@pytest.mark.parametrize("digits", [40, 80])
+def test_q_of_t_matches_high_precision_inversion(digits):
+    for qs in ("1e-30", "1e-8", "0.01", "0.25", "0.5", "0.85"):
+        with working_dps(digits):
+            t = t_of_q(mpf(qs), digits)
+            q = q_of_t(t, digits)
+        with working_dps(100):
+            ref = q_of_t(t, 100)
+            assert abs(q - ref) <= mpf(10) ** (2 - digits) * ref
+
+
 def test_q_of_t_out_of_range():
     with working_dps(40):
-        with pytest.raises(DomainError):
-            q_of_t(mpf("0.99"))
+        for t in (mpmath.sqrt(2) - 1, mpf("0.5"), mpf("0.99"), mpf(3)):
+            with pytest.raises(DomainError):
+                q_of_t(t)
+
+
+def test_q_of_t_certificate(monkeypatch):
+    # one AGM result off by one part in 1e30 must not pass as a nome
+    agm = mpmath.agm
+    calls = []
+
+    def off_agm(a, b):
+        calls.append(b)
+        r = agm(a, b)
+        return r * (1 + mpf("1e-30")) if len(calls) == 1 else r
+
+    monkeypatch.setattr(mpmath, "agm", off_agm)
+    with working_dps(40):
+        with pytest.raises(PrecisionError):
+            q_of_t(t_of_q(mpf("0.25")))
 
 
 def test_equivalent_product_forms():
@@ -169,19 +197,34 @@ def test_critical_point_refused(Kc):
             free_energy_pieces(Kc + mpf("1e-24"))
 
 
+def _onsager_f_b(K):
+    """The lattice double integral of log[cosh^2(2K) - sinh(2K)(cos a + cos b)],
+    with the inner angle integrated in closed form, at the current precision."""
+    c2, s2 = mpmath.cosh(2 * K), mpmath.sinh(2 * K)
+
+    def integrand(a):
+        A = c2 ** 2 - s2 * mpmath.cos(a)
+        return mpmath.log((A + mpmath.sqrt(A * A - s2 * s2)) / 2)
+
+    quad = mpmath.quad(integrand, [0, mpmath.pi]) / mpmath.pi
+    return -mpmath.log(2) - quad / 2
+
+
 @pytest.mark.parametrize("K", [mpf("0.7"), mpf("0.25")])
 def test_bulk_matches_quadrature(K):
-    # independent check of the assembled bulk value: the lattice double
-    # integral of log[cosh^2(2K) - sinh(2K)(cos a + cos b)], with the inner
-    # angle integrated in closed form
+    # independent check of the assembled bulk value
     with working_dps(30):
         pieces = free_energy_pieces(K, digits=30)
-        c2, s2 = mpmath.cosh(2 * K), mpmath.sinh(2 * K)
+        assert abs(pieces.f_b - _onsager_f_b(K)) < mpf("1e-25")
 
-        def integrand(a):
-            A = c2 ** 2 - s2 * mpmath.cos(a)
-            return mpmath.log((A + mpmath.sqrt(A * A - s2 * s2)) / 2)
 
-        quad = mpmath.quad(integrand, [0, mpmath.pi]) / mpmath.pi
-        fb = -mpmath.log(2) - quad / 2
-        assert abs(pieces.f_b - fb) < mpf("1e-25")
+@pytest.mark.parametrize("K", [15, 20])
+def test_bulk_at_large_coupling(K):
+    # q is then below 1e-25, where an absolute bracket on q loses digits
+    with working_dps(60):
+        ref = _onsager_f_b(mpf(K))
+    with working_dps(40):
+        f_b = free_energy_pieces(mpf(K)).f_b
+    with working_dps(60):
+        half_unit = mpf(10) ** (mpmath.floor(mpmath.log10(abs(ref))) - 39) / 2
+        assert abs(f_b - ref) <= half_unit

@@ -3,8 +3,9 @@ import pytest
 from mpmath import mpf
 
 from isingrect.brute_force import brute_force_logZ
-from isingrect.lattice import CouplingGrid, LatticeSpec
+from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec
 from isingrect.numerics import DomainError, working_dps
+from isingrect.spectral import find_modes, log_zsres, residual_system
 from isingrect.thermo import (
     CSV_COLUMNS,
     casimir_force_fd,
@@ -42,6 +43,52 @@ def test_casimir_analytic_vs_fd(K, M, L, Kc):
         # tighter difference step pins the derivative much harder
         fd2 = casimir_force_fd(L, M, K, K, dL=mpf("1e-12"))
         assert abs(an - fd2) < mpf("1e-20") * abs(an)
+
+
+def _casimir_explicit_inverse(rs, M):
+    """tr[(1 + Y)^(-1) dY] / M with dense diagonal factors and an explicit
+    inverse: the reference for casimir_force_strip."""
+    h = M // 2
+    one_plus = rs.Y.copy()
+    for i in range(h):
+        one_plus[i, i] += 1
+    Ge = mpmath.matrix(h, h)
+    Go = mpmath.matrix(h, h)
+    for i, e in enumerate(rs.even):
+        Ge[i, i] = rs.gamma_hat[e]
+    for i, o in enumerate(rs.odd):
+        Go[i, i] = rs.gamma_hat[o]
+    dY = -Ge * rs.Y + rs.A * (Go * rs.B)
+    X = one_plus ** -1 * dY
+    return sum(X[i, i] for i in range(h)) / M
+
+
+def _residual_system(L, M, K, digits):
+    hom = HomogeneousCouplings.from_K(K, K, digits)
+    return residual_system(find_modes(hom.z, hom.t, M, digits), L, digits)
+
+
+@pytest.mark.parametrize("L,M,K", [(16, 48, "0.2"), (24, 32, "0.4"), (8, 16, "0.6")])
+def test_casimir_matches_explicit_inverse(L, M, K):
+    digits = 40
+    with working_dps(digits):
+        rs = _residual_system(L, M, K, digits)
+        ref = _casimir_explicit_inverse(rs, M)
+        force = casimir_force_strip(L, M, K, K, digits, rs=rs)
+        assert abs(force - ref) <= mpf(10) ** (2 - digits) * abs(ref)
+
+
+@pytest.mark.parametrize("L", [8, 16, 20, 48, 64])
+def test_strip_residual_keeps_relative_digits(L):
+    # det(1 + Y) - 1 runs from 4e-12 (L = 8) to 2e-73 (L = 64): forming 1 + Y
+    # at 50 working digits loses from 11 digits of F_strip_res to all of them
+    with working_dps(160):
+        ref = -log_zsres(_residual_system(L, 16, "0.2", 160))
+    with working_dps(40):
+        rep = report(L, 16, "0.2", "0.2")
+    with working_dps(160):
+        assert ref != 0
+        assert abs(rep.F_strip_res - ref) <= mpf(10) ** -40 * abs(ref)
 
 
 def test_casimir_attractive_near_critical(Kc):
