@@ -184,7 +184,10 @@ def cmd_sweep(args):
             raise DomainError(f"--sweep-K expects a:b:n, got {args.sweep_K!r}") from exc
         if n < 1:
             raise DomainError("--sweep-K needs n >= 1")
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        try:
+            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        except ValueError as exc:
+            raise DomainError(f"--sizes expects integers, got {args.sizes!r}") from exc
         if not sizes:
             raise DomainError("--sizes must list at least one size")
         Ks = [a + (b - a) * k / max(n - 1, 1) for k in range(n)]

@@ -1,14 +1,31 @@
-"""Column transfer matrices for arbitrary couplings on the cylinder.
+"""Column transfer factors for arbitrary couplings on the cylinder.
 
 Each lattice column ell contributes a vertical factor Vt (dual couplings
 t_{ell,m}, wrap-coupled across the seam) and a horizontal factor Vz
-(couplings z_{ell,m}); both are 2M x 2M.  The partition function is
+(couplings z_{ell,m}).  Both are 2M x 2M with two nonzeros per row.  The
+partition function is
 
-    Z = sqrt(C2t * det <e| Vt_L Vz_{L-1} Vt_{L-1} ... Vz_1 Vt_1 |e>),
+    Z = sqrt(C2t * det C),   C = E^T Vt_L Vz_{L-1} Vt_{L-1} ... Vz_1 Vt_1 E / 2,
 
-with <e| = (1/sqrt 2) <1 1| and C2t = 2^((L+1)M) prod 1/z_minus.  The last
-column's horizontal factor is the identity (z = 1 formally).  Open vertical
-boundaries correspond to t_{ell,M} = 1.
+with E = [I; I] (2M x M) and C2t = 2^((L+1)M) prod 1/z_minus.  The last
+column's horizontal factor is the identity (z = 1 formally), and open
+vertical boundaries correspond to t_{ell,M} = 1.
+
+The 2M x 2M product is never formed.  Only the 2M x M block X that the
+corner reads is carried: it starts at E, and each factor acts on it as row
+operations, every new row a combination of two old rows, so a column costs
+O(M^2) before orthonormalisation.  After every column, modified Gram-Schmidt
+writes X = Q R with a positive diagonal of R; sum log r_jj goes into
+log det C and Q carries on as X.  Without this the columns of X line up with
+the dominant modes and the corner's pivots cancel.  The corner is then
+C = (X[:M] + X[M:]) / 2.
+
+The factor coefficients are closed forms in the couplings,
+
+    z_plus = coth 2Kh,  z_minus = -1/sinh 2Kh,  t_plus = cosh 2Kv,  t_minus = -sinh 2Kv,
+
+the pm pairs of z = tanh Kh and t = exp(-2Kv), without forming z or t: at
+large K, 1 - z has no digit left at the working precision.
 """
 
 from __future__ import annotations
@@ -18,8 +35,9 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .lattice import ReducedCouplings, log_C2_dagger, pm
+from .lattice import log_C2_dagger
 from .numerics import (
+    GUARD_DIGITS,
     ConsistencyError,
     DomainError,
     PrecisionError,
@@ -29,74 +47,100 @@ from .numerics import (
 
 
 @dataclass
-class TMFactorPair:
-    """Horizontal and vertical transfer factors of one column."""
+class ColumnFactors:
+    """Coefficients of one column's factors, one entry per row m."""
 
-    Vz: mpmath.matrix
-    Vt: mpmath.matrix
-    ell: int  # 1-based column index
-
-
-def vertical_factor(tvec):
-    """2M x 2M vertical factor from the column's dual couplings t_1..t_M."""
-    M = len(tvec)
-    tp = [pm(t)[0] for t in tvec]
-    tm = [pm(t)[1] for t in tvec]
-    V = mpmath.matrix(2 * M, 2 * M)
-    for a in range(M):
-        # first block row mixes downward neighbours through the seam
-        V[a, a] = tp[a - 1] if a > 0 else tp[M - 1]
-        if a > 0:
-            V[a, M + a - 1] = tm[a - 1]
-        else:
-            V[0, 2 * M - 1] = -tm[M - 1]
-        if a + 1 < M:
-            V[M + a, a + 1] = tm[a]
-        else:
-            V[M + a, 0] = -tm[a]
-        V[M + a, M + a] = tp[a]
-    return V
-
-
-def horizontal_factor(zvec):
-    """2M x 2M horizontal factor; the identity when all z = 1."""
-    M = len(zvec)
-    V = mpmath.matrix(2 * M, 2 * M)
-    for a in range(M):
-        zp, zm = pm(zvec[a])
-        V[a, a] = zp
-        V[M + a, M + a] = zp
-        V[a, M + a] = -zm
-        V[M + a, a] = -zm
-    return V
+    z_plus: tuple    # coth 2Kh; 1 on the last column
+    z_minus: tuple   # -1/sinh 2Kh; 0 on the last column
+    t_plus: tuple    # cosh 2Kv
+    t_minus: tuple   # -sinh 2Kv; 0 where the vertical bond is absent
 
 
 def build_factors(grid, digits=40):
-    """All L factor pairs; the last column's Vz uses the formal z = 1."""
+    """The L columns' coefficients; the last column's Vz uses the formal z = 1."""
     with working_dps(digits):
-        red = ReducedCouplings.from_grid(grid)
         L, M = grid.spec.L, grid.spec.M
-        pairs = []
+        columns = []
         for l in range(L):
-            zvec = [red.z[l][m] if l < L - 1 else mpf(1) for m in range(M)]
-            tvec = list(red.t[l])
-            for v in zvec + tvec:
-                if not (0 < v <= 1):
-                    raise DomainError(
-                        "transfer factors require z and t in (0, 1]; "
-                        "couplings must be ferromagnetic and finite"
-                    )
-            pairs.append(TMFactorPair(Vz=horizontal_factor(zvec),
-                                      Vt=vertical_factor(tvec), ell=l + 1))
-        return pairs
+            Kh, Kv = grid.Kh[l], grid.Kv[l]
+            if any(K < 0 for K in Kv) or (l < L - 1 and any(K <= 0 for K in Kh)):
+                raise DomainError(
+                    "transfer factors require z and t in (0, 1]; "
+                    "couplings must be ferromagnetic and finite"
+                )
+            if l < L - 1:
+                zp = tuple(mpmath.coth(2 * K) for K in Kh)
+                zm = tuple(-1 / mpmath.sinh(2 * K) for K in Kh)
+            else:
+                zp, zm = (mpf(1),) * M, (mpf(0),) * M
+            columns.append(ColumnFactors(
+                z_plus=zp, z_minus=zm,
+                t_plus=tuple(mpmath.cosh(2 * K) for K in Kv),
+                t_minus=tuple(-mpmath.sinh(2 * K) for K in Kv)))
+        return columns
 
 
-def logZ_cylinder(grid, digits=40, renorm_bits=256):
-    """log Z from the ordered transfer-matrix product.
+# A factor acts on the rows of X as a list of 2M tuples (a, i, b, j): new
+# row r is a * X[i] + b * X[j].
 
-    The running product is renormalized whenever its largest entry leaves
-    [2^-renorm_bits, 2^renorm_bits]; the scalars re-enter the determinant as
-    M*log(scale), so the result is independent of the cadence.
+def horizontal_rows(zp, zm):
+    """Row operations of Vz: rows m and M + m mix through z_minus."""
+    M = len(zp)
+    return ([(zp[a], a, -zm[a], M + a) for a in range(M)]
+            + [(-zm[a], a, zp[a], M + a) for a in range(M)])
+
+
+def vertical_rows(tp, tm):
+    """Row operations of Vt: the bond (m, m + 1) mixes rows m + 1 and M + m;
+    the seam bond (M, 1) mixes rows 0 and 2M - 1 with the sign of t_minus flipped."""
+    M = len(tp)
+    top = [(tp[M - 1], 0, -tm[M - 1], 2 * M - 1)]
+    top += [(tp[a - 1], a, tm[a - 1], M + a - 1) for a in range(1, M)]
+    bottom = [(tm[a], a + 1, tp[a], M + a) for a in range(M - 1)]
+    bottom.append((-tm[M - 1], 0, tp[M - 1], 2 * M - 1))
+    return top + bottom
+
+
+def apply_rows(rows, cols):
+    """A factor given by its row operations, applied to X given by its columns."""
+    return [[a * x[i] + b * x[j] for a, i, b, j in rows] for x in cols]
+
+
+def orthonormalise(cols):
+    """Modified Gram-Schmidt on X's columns in place, X = Q R.
+
+    Returns sum log r_jj and the smallest ratio |r_jj| / |x_j| over the
+    columns.  Every r_jj is the norm of a column after its projections, so
+    the diagonal of R is positive.  A ratio of 10^-d says that the
+    projections cancelled all but 10^-d of a column, so its rounding errors
+    grew by 10^d relative to what is left of it.
+    """
+    log_r = mpf(0)
+    kept = mpf(1)
+    for j in range(len(cols)):
+        v = cols[j]
+        before = mpmath.fdot(v, v)
+        for q in cols[:j]:
+            r = mpmath.fdot(q, v)
+            v = [x - r * y for x, y in zip(v, q)]
+        norm = mpmath.sqrt(mpmath.fdot(v, v))
+        if norm == 0:
+            # Z > 0, so the block keeps full rank: it lost it to rounding
+            raise PrecisionError("transfer-matrix block lost its rank to rounding")
+        kept = min(kept, norm / mpmath.sqrt(before))
+        log_r += mpmath.log(norm)
+        inv = 1 / norm
+        cols[j] = [x * inv for x in v]
+    return log_r, kept
+
+
+def logZ_cylinder(grid, digits=40):
+    """log Z from the half-sum block carried through the columns.
+
+    Raises PrecisionError when Gram-Schmidt or the corner determinant's
+    elimination cancels more than GUARD_DIGITS digits, or when a pivot or
+    an r_jj cancels to zero.  The cancellation does not depend on the
+    precision, so raising it does not help.
     """
     L, M = grid.spec.L, grid.spec.M
     for l in range(L - 1):
@@ -107,31 +151,42 @@ def logZ_cylinder(grid, digits=40, renorm_bits=256):
                     "columns ell < L (the constant C2t contains 1/z_minus)"
                 )
     with working_dps(digits):
-        pairs = build_factors(grid, digits)
-        log_scale = mpf(0)
+        columns = build_factors(grid, digits)
+        cols = [[mpf(1) if i % M == j else mpf(0) for i in range(2 * M)]
+                for j in range(M)]          # X = E
+        log_r, kept = mpf(0), mpf(1)
         # right to left: Vt_1, Vz_1, Vt_2, Vz_2, ..., Vz_{L-1}, Vt_L
-        P = pairs[0].Vt
-        for l in range(1, L):
-            P = pairs[l].Vt * (pairs[l - 1].Vz * P)
-            big = max(abs(P[i, j]) for i in range(2 * M) for j in range(2 * M))
-            if big != 0 and abs(mpmath.log(big, 2)) > renorm_bits:
-                P = P / big
-                log_scale += mpmath.log(big)
-        # corner determinant in the half-sum basis
+        for l, f in enumerate(columns):
+            if l > 0:
+                prev = columns[l - 1]
+                cols = apply_rows(horizontal_rows(prev.z_plus, prev.z_minus), cols)
+            cols = apply_rows(vertical_rows(f.t_plus, f.t_minus), cols)
+            lr, k = orthonormalise(cols)
+            log_r += lr
+            kept = min(kept, k)
         C = mpmath.matrix(M, M)
-        for i in range(M):
-            for j in range(M):
-                C[i, j] = (P[i, j] + P[i, M + j] + P[M + i, j] + P[M + i, M + j]) / 2
-        ld, s = log_abs_det(C)
+        for j, x in enumerate(cols):
+            for i in range(M):
+                C[i, j] = (x[i] + x[M + i]) / 2
+        det = log_abs_det(C)
+        ld, s = det
         if s == 0:
             # Z > 0, so the corner determinant cannot vanish exactly: its
             # pivots cancelled down to rounding residue at this precision
             raise PrecisionError(
                 f"transfer-matrix corner determinant lost every digit at "
-                f"{digits} digits; raise the precision"
+                f"{digits} digits"
+            )
+        # rounding errors grow by at most about 1/ratio in either stage
+        ratio = min(kept, det.pivot_ratio)
+        if ratio < mpf(10) ** -GUARD_DIGITS:
+            raise PrecisionError(
+                f"the transfer-matrix route lost about "
+                f"{mpmath.nstr(-mpmath.log10(ratio), 3)} digits to cancellation, "
+                f"more than its {GUARD_DIGITS} guard digits"
             )
         lg2, s2 = log_C2_dagger(grid)
         if M % 2 == 0 and s * s2 < 0:
             raise ConsistencyError("C2t * det corner came out negative")
         # odd M: the even-M sign bookkeeping does not apply; Z > 0 fixes it
-        return (lg2 + ld + M * log_scale) / 2
+        return (lg2 + ld + log_r) / 2

@@ -246,20 +246,23 @@ def log_C1(grid):
 
 
 def log_C2_dagger(grid):
-    """(log|C2t|, sign): C2t = C0 C1 = 2^((L+1)M) prod_{ell<L} 1/z_minus."""
-    red = ReducedCouplings.from_grid(grid)
+    """(log|C2t|, sign): C2t = C0 C1 = 2^((L+1)M) prod_{ell<L} 1/z_minus.
+
+    z_minus = -1/sinh 2Kh in closed form, so 1/z_minus keeps its digits at
+    large Kh, where z = tanh Kh rounds to 1.
+    """
     L, M = grid.spec.L, grid.spec.M
     total = (L + 1) * M * mpmath.log(mpf(2))
     sign = 1
     for l in range(L - 1):
         for m in range(M):
-            zminus = pm(red.z[l][m])[1] if red.z[l][m] != 0 else None
-            if zminus is None or zminus == 0:
+            Kh = grid.Kh[l][m]
+            if Kh == 0:
                 raise DomainError(
                     "C2 requires 0 < |z| < 1 on every interior column (1/z_minus appears)"
                 )
-            total -= mpmath.log(abs(zminus))
-            if zminus < 0:
+            total += mpmath.log(abs(mpmath.sinh(2 * Kh)))
+            if Kh > 0:
                 sign = -sign
     return total, sign
 

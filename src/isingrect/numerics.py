@@ -80,11 +80,28 @@ def eye(n):
     return A
 
 
+class LogDet(tuple):
+    """The pair (log|det A|, sign(det A)), with the elimination's smallest
+    pivot ratio as the attribute ``pivot_ratio``."""
+
+    def __new__(cls, logdet, sign, pivot_ratio):
+        self = super().__new__(cls, (logdet, sign))
+        self.pivot_ratio = pivot_ratio
+        return self
+
+
 def log_abs_det(A):
     """log|det A| and sign(det A) by LU elimination with partial pivoting.
 
     Pivoting ties are broken by the lowest row index.  A singular matrix
-    yields (-inf, 0).  The input matrix is not modified.
+    yields (-inf, 0).  The input matrix is not modified.  The result unpacks
+    as that pair; its ``pivot_ratio`` is the smallest
+
+        |u_kk| / (|u_kk| + sum_{p<k} |l_kp u_pk|)
+
+    over the pivots (0 for a singular matrix).  A ratio of 10^-d says that
+    the terms that cancelled into a pivot were 10^d times its size, so the
+    pivot, and det A with it, lost about d digits to the cancellation.
 
     Singularity is judged at the working precision: an n x n matrix counts
     as singular once a pivot u_kk satisfies
@@ -113,6 +130,7 @@ def log_abs_det(A):
     tiny = n * mpmath.ldexp(1, SINGULAR_PIVOT_BITS - mp.prec)
     sign = 1
     logdet = mpf(0)
+    ratio = mpf(1)
     for k in range(n):
         piv, pval = k, abs(U[k][k])
         for i in range(k + 1, n):
@@ -127,7 +145,8 @@ def log_abs_det(A):
         # Uk[:k] holds the multipliers l_kp of the pivot row
         cancelled = pval + sum(abs(Uk[p] * U[p][k]) for p in range(k))
         if pval <= tiny * max(row_scale[k], cancelled):
-            return mpf("-inf"), 0
+            return LogDet(mpf("-inf"), 0, mpf(0))
+        ratio = min(ratio, pval / cancelled)
         akk = Uk[k]
         if mpmath.im(akk) == 0 and mpmath.re(akk) < 0:
             sign = -sign
@@ -139,7 +158,7 @@ def log_abs_det(A):
             if f:
                 for j in range(k + 1, n):
                     Ui[j] -= f * Uk[j]
-    return logdet, sign
+    return LogDet(logdet, sign, ratio)
 
 
 def log_det_one_plus(Y):

@@ -178,6 +178,12 @@ def test_eval_non_numeric_coupling(capsys):
     assert err.startswith("domain error:")
 
 
+def test_sweep_non_integer_size(capsys):
+    code, _, err = run(capsys, "sweep", "--sweep-K", "0.3:0.3:1", "--sizes", "4,x")
+    assert code == 2
+    assert err.startswith("domain error:")
+
+
 def test_eval_grid_non_numeric_cell(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     for cells in ("1,1,0.3,x", "1,a,0.3,0.2"):

@@ -4,13 +4,54 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from isingrect import cylinder
 from isingrect.brute_force import brute_force_logZ
-from isingrect.cylinder import build_factors, logZ_cylinder, vertical_factor
-from isingrect.lattice import PERIODIC, CouplingGrid, LatticeSpec, pm
-from isingrect.numerics import DomainError, working_dps
+from isingrect.cylinder import (
+    apply_rows,
+    build_factors,
+    horizontal_rows,
+    logZ_cylinder,
+    orthonormalise,
+    vertical_rows,
+)
+from isingrect.lattice import PERIODIC, CouplingGrid, HomogeneousCouplings, LatticeSpec, pm
+from isingrect.numerics import DomainError, LogDet, PrecisionError, tol, working_dps
 from isingrect.pfaffian import logZ_pfaffian
+from isingrect.spectral import logZ_spectral
 
 ORACLE_TOL = mpf("1e-30")
+
+
+def vertical_factor(tp, tm):
+    """Dense 2M x 2M vertical factor from the rows t_plus, t_minus; the
+    reference for vertical_rows."""
+    M = len(tp)
+    V = mpmath.matrix(2 * M, 2 * M)
+    for a in range(M):
+        # first block row mixes downward neighbours through the seam
+        V[a, a] = tp[a - 1] if a > 0 else tp[M - 1]
+        if a > 0:
+            V[a, M + a - 1] = tm[a - 1]
+        else:
+            V[0, 2 * M - 1] = -tm[M - 1]
+        if a + 1 < M:
+            V[M + a, a + 1] = tm[a]
+        else:
+            V[M + a, 0] = -tm[a]
+        V[M + a, M + a] = tp[a]
+    return V
+
+
+def horizontal_factor(zp, zm):
+    """Dense 2M x 2M horizontal factor; the reference for horizontal_rows."""
+    M = len(zp)
+    V = mpmath.matrix(2 * M, 2 * M)
+    for a in range(M):
+        V[a, a] = zp[a]
+        V[M + a, M + a] = zp[a]
+        V[a, M + a] = -zm[a]
+        V[M + a, a] = -zm[a]
+    return V
 
 
 def _random_grid(L, M, seed, periodic=True):
@@ -29,9 +70,9 @@ def test_vertical_factor_interleaved_layout():
     M = 4
     with working_dps(40):
         tvec = [mpf("0.3"), mpf("0.45"), mpf("0.6"), mpf("0.75")]
-        V = vertical_factor(tvec)
         tp = [pm(t)[0] for t in tvec]
         tm = [pm(t)[1] for t in tvec]
+        V = vertical_factor(tp, tm)
         expected = mpmath.matrix(8, 8)
         expected[0, 0] = tp[3]
         expected[0, 7] = -tm[3]
@@ -53,12 +94,82 @@ def test_vertical_factor_interleaved_layout():
 
 def test_boundary_column_is_identity():
     grid = CouplingGrid.from_scalars(LatticeSpec(2, 3), "0.4", "0.5")
-    pairs = build_factors(grid)
-    last = pairs[-1].Vz
-    assert last == mpmath.eye(6)   # z = 1 on the last column: z+ = 1, z- = 0
+    columns = build_factors(grid)
+    last = columns[-1]
+    # z = 1 on the last column: z+ = 1, z- = 0
+    assert horizontal_factor(last.z_plus, last.z_minus) == mpmath.eye(6)
     # open vertical boundary: t = 1, so the seam entries vanish
-    Vt = pairs[0].Vt
+    first = columns[0]
+    Vt = vertical_factor(first.t_plus, first.t_minus)
     assert Vt[0, 2 * 3 - 1] == 0 and Vt[3 + 2, 0] == 0
+
+
+def test_factor_coefficients_are_pm_pairs():
+    # the closed forms coth 2K, -1/sinh 2K, cosh 2K, -sinh 2K are the pm
+    # pairs of z = tanh Kh and t = (1 - tanh Kv)/(1 + tanh Kv)
+    grid = CouplingGrid.from_scalars(LatticeSpec(2, 2, PERIODIC), "0.3", "0.7")
+    f = build_factors(grid)[0]
+    with working_dps(40):
+        z = mpmath.tanh(mpf("0.3"))
+        zv = mpmath.tanh(mpf("0.7"))
+        for got, want in zip((f.z_plus[0], f.z_minus[0], f.t_plus[0], f.t_minus[0]),
+                             pm(z) + pm((1 - zv) / (1 + zv))):
+            assert abs(got - want) < tol(-2, 40) * abs(want)
+
+
+def _random_block(rng, M):
+    return [[mpf(rng.uniform(-1, 1)) for _ in range(2 * M)] for _ in range(M)]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 8])
+def test_row_operations_match_dense_factors(M):
+    # M = 1 and odd M exercise the seam rows
+    rng = random.Random(M)
+    with working_dps(40):
+        tp = [mpf(rng.uniform(1, 3)) for _ in range(M)]
+        tm = [-mpf(rng.uniform(0, 2)) for _ in range(M)]
+        zp = [mpf(rng.uniform(1, 3)) for _ in range(M)]
+        zm = [-mpf(rng.uniform(0, 2)) for _ in range(M)]
+        for rows, dense in ((vertical_rows(tp, tm), vertical_factor(tp, tm)),
+                            (horizontal_rows(zp, zm), horizontal_factor(zp, zm))):
+            cols = _random_block(rng, M)
+            X = mpmath.matrix(2 * M, M)
+            for j in range(M):
+                for i in range(2 * M):
+                    X[i, j] = cols[j][i]
+            want = dense * X
+            got = apply_rows(rows, cols)
+            for j in range(M):
+                for i in range(2 * M):
+                    assert abs(got[j][i] - want[i, j]) < tol(-8, 40)
+
+
+@pytest.mark.parametrize("M", [1, 3, 6])
+def test_orthonormalise_is_qr_with_positive_diagonal(M):
+    rng = random.Random(10 + M)
+    with working_dps(40):
+        X = _random_block(rng, M)
+        Q = [c[:] for c in X]
+        log_r, kept = orthonormalise(Q)
+        assert 0 < kept <= 1
+        log_diag = mpf(0)
+        for j in range(M):
+            residual = X[j][:]
+            for k in range(M):
+                # Q^T Q = I
+                g = mpmath.fdot(Q[j], Q[k])
+                assert abs(g - (1 if j == k else 0)) < tol(-8, 40)
+                # R = Q^T X is upper triangular with a positive diagonal
+                r = mpmath.fdot(Q[k], X[j])
+                if k > j:
+                    assert abs(r) < tol(-8, 40)
+                elif k == j:
+                    assert r > 0
+                    log_diag += mpmath.log(r)
+                residual = [x - r * q for x, q in zip(residual, Q[k])]
+            # X = Q R
+            assert max(abs(x) for x in residual) < tol(-8, 40)
+        assert abs(log_diag - log_r) < tol(-6, 40)
 
 
 @pytest.mark.parametrize("L,M,Kh,Kv,periodic", [
@@ -83,11 +194,61 @@ def test_disorder_matches_pfaffian():
     assert abs(a - b) < ORACLE_TOL * abs(b)
 
 
-def test_renormalization_cadence_invariance():
-    grid = _random_grid(4, 4, seed=8)
-    a = logZ_cylinder(grid, renorm_bits=2)    # renormalize nearly every step
-    b = logZ_cylinder(grid, renorm_bits=4096)  # never renormalize
-    assert abs(a - b) < mpf("1e-38") * (1 + abs(a))
+def _spectral_logZ(L, M, K, digits):
+    with working_dps(digits):
+        hom = HomogeneousCouplings.from_K(K, K, digits)
+        return logZ_spectral(L, M, hom.z, hom.t, digits)
+
+
+@pytest.mark.parametrize("L,M,K", [
+    (48, 12, "0.35"),   # off by a relative 3.5e-28 before
+    (32, 8, "1"),       # off by a relative 2e-23 before
+    (56, 8, "1"),       # raised PrecisionError before
+])
+def test_long_cylinder_matches_spectral(L, M, K):
+    digits = 40
+    grid = CouplingGrid.from_scalars(LatticeSpec(L, M), K, K, digits)
+    a = logZ_cylinder(grid, digits)
+    b = _spectral_logZ(L, M, K, 120)
+    assert abs(a - b) < tol(2, digits) * abs(b)
+
+
+def _right_or_raises(spec, Kh, Kv, digits=40):
+    """logZ_cylinder matches the Pfaffian at 150 digits, or raises PrecisionError."""
+    try:
+        a = logZ_cylinder(CouplingGrid(spec, Kh, Kv, digits), digits)
+    except PrecisionError:
+        return
+    b = logZ_pfaffian(CouplingGrid(spec, Kh, Kv, 150), 150)
+    assert abs(a - b) < tol(2, digits) * abs(b)
+
+
+@pytest.mark.parametrize("L,M,K", [(8, 4, "10"), (8, 4, "50"), (3, 4, "50")])
+def test_large_coupling_is_right_or_raises(L, M, K):
+    grid = CouplingGrid.from_scalars(LatticeSpec(L, M), K, K)
+    _right_or_raises(grid.spec, grid.Kh, grid.Kv)
+
+
+def test_mixed_strong_bonds_are_right_or_raise():
+    # the Kv = 20 bond swamps the other rows of the block; Gram-Schmidt then
+    # cancels 16 digits, and without the certificate the route returns a
+    # value off by a relative 5e-37
+    _right_or_raises(LatticeSpec(2, 2, PERIODIC), [["1", "2"], ["0", "0"]],
+                     [["0.5", "1"], ["0.5", "20"]])
+
+
+def test_corner_pivot_cancellation_raises(monkeypatch):
+    # a corner whose pivots cancelled more than the guard digits must not
+    # come back as a value
+    real = cylinder.log_abs_det
+
+    def cancelled(C):
+        ld, s = real(C)
+        return LogDet(ld, s, mpf("1e-11"))
+
+    monkeypatch.setattr(cylinder, "log_abs_det", cancelled)
+    with pytest.raises(PrecisionError, match="cancellation"):
+        logZ_cylinder(_random_grid(3, 4, seed=21))
 
 
 def test_zero_horizontal_rejected():

@@ -100,6 +100,18 @@ def test_log_abs_det_matches_plain_elimination(n, seed):
             assert (ld, s) == _plain_elimination(A)
 
 
+def test_log_abs_det_pivot_ratio():
+    with working_dps(40):
+        assert log_abs_det(mpmath.eye(3)).pivot_ratio == 1
+        # the second pivot is eps, left after cancelling l_21 u_12 = 1
+        eps = mpf("1e-20")
+        det = log_abs_det(_mat([[1, 1], [1, 1 + eps]]))
+        assert abs(det.pivot_ratio - eps / (1 + eps)) < mpf("1e-25") * eps
+        ld, s = det
+        assert s == 1 and abs(ld - mpmath.log(eps)) < mpf("1e-25")
+        assert log_abs_det(_mat([[1, 2], [2, 4]])).pivot_ratio == 0
+
+
 def test_log_abs_det_requires_square():
     with pytest.raises(DomainError):
         log_abs_det(mpmath.zeros(2, 3))
