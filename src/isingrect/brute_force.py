@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-import numpy as np
 from mpmath import mp, mpf
 
 from .numerics import DomainError, working_dps
@@ -62,6 +61,8 @@ def _disagreement_histogram(nsites, bond_sig):
     bond_sig is a tuple of (site_i, site_j, group) triples.  Returns an
     integer array of shape prod(n_g + 1) raveled over group counts.
     """
+    import numpy as np  # here, so that importing isingrect does not load numpy
+
     ngroups = 1 + max(g for _, _, g in bond_sig)
     sizes = [0] * ngroups
     for _, _, g in bond_sig:

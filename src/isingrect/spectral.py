@@ -5,10 +5,16 @@ The column-to-column transfer matrix of the open strip of even width M has
 lambda_plus = cosh(gamma) = t+ z+ - t- z- cos(phi), the admissible angles phi
 are the zeroes of the degree-M polynomial (in cos phi)
 
-    P_M(phi) = cos(M phi) + (t+ cos(phi) - t- z+/z-) sin(M phi)/sin(phi),
+    P_M(phi) = cos(M phi) + (t+ cos(phi) - t- z+/z-) sin(M phi)/sin(phi).
 
-real in (0, pi) except for at most one root on the imaginary axis in the
-ordered phase.  Modes are ordered by lambda_plus; the parity
+Each interval ((k-1) pi/M, k pi/M), k = 2..M, holds exactly one real root,
+with signs known in closed form at its ends.  The remaining, soft mode is
+real in (0, pi/M) when P_M(0) > 0; otherwise, in the ordered phase, it is
+the one root on the imaginary axis.  find_modes seeds each root by float bisection
+inside its interval, polishes it by Newton at working precision, and keeps
+it only when P_M changes sign within 10^(3 - dps) of it.  The imaginary
+mode's exponentially small gap comes from the mode-ratio identity, never
+from c - 1.  Modes are ordered by lambda_plus; the parity
 sigma_mu = (-1)^(mu-1) selects the dominant branch alternately, and
 prod_mu lambda_mu = t.
 
@@ -20,6 +26,8 @@ every finite-aspect-ratio correction and vanishes for long strips.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -27,6 +35,7 @@ from mpmath import mp, mpc, mpf
 
 from .lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, dual, log_C2, log_C3, pm
 from .numerics import (
+    GUARD_DIGITS,
     ConsistencyError,
     DomainError,
     PrecisionError,
@@ -111,90 +120,140 @@ def char_poly(phi, z, t, M):
     return mpmath.cos(M * phi) + (tp * mpmath.cos(phi) - B) * mpmath.sin(M * phi) / s
 
 
-def _real_roots(z, t, M, npoints):
-    """Sign-change roots of the mode polynomial on (0, pi)."""
-    f = lambda phi: char_poly(phi, z, t, M)
-    xtol = mpf(10) ** (-(mp.dps - 3))
-    pts = [mpmath.pi * k / npoints for k in range(1, npoints + 1)]
-    # geometric refinement toward 0 resolves the soft mode near criticality
-    pts = [mpmath.pi / npoints / mpf(2) ** k for k in range(int(3.4 * mp.dps), 0, -1)] + pts
-    tp, tm = pm(t)
-    zp, zm = pm(z)
-    fprev = 1 + (tp - tm * zp / zm) * M  # phi -> 0+ limit
-    xprev = mpf(0)
-    roots = []
-    for x in pts:
-        fx = f(x)
-        if fx == 0:
-            roots.append(x)
-        elif fprev * fx < 0:
-            roots.append(bracketed_root(f, xprev, x, xtol))
-        xprev, fprev = x, fx
-    return roots
+def _float_seed(f, lo, hi, falling):
+    """Bisect f in plain floats on (lo, hi), knowing that f is positive at lo
+    when falling and negative otherwise; None when f is not finite there."""
+    for _ in range(sys.float_info.mant_dig):
+        mid = (lo + hi) / 2
+        v = f(mid)
+        if not math.isfinite(v):
+            return None
+        if (v > 0) == falling:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
-def _imag_root(z, t, M):
-    """The below-critical mode on the imaginary axis, phi = i psi, psi > 0."""
-    g = lambda psi: char_poly(mpc(0, psi), z, t, M)
-    xtol = mpf(10) ** (-(mp.dps - 3))
-    psimax = 2 * mpmath.atanh(max(z, t))
-    tp, tm = pm(t)
-    zp, zm = pm(z)
-    # the mode keeps lambda_plus > 1, which bounds cosh(psi)
-    bound = (tp * zp - 1) / (tm * zm)
-    if bound > 1:
-        psimax = min(psimax, mpmath.acosh(bound))
-    n = 8 * M
-    fprev = 1 + (tp - tm * zp / zm) * M
-    xprev = mpf(0)
-    for k in range(1, n + 1):
-        x = psimax * k / n
-        fx = g(x)
-        if fx == 0:
-            return x
-        if fprev * fx < 0:
-            return bracketed_root(g, xprev, x, xtol)
-        xprev, fprev = x, fx
-    return None
+def _polish(f, fd, lo, hi, seed, M, xtol):
+    """A root of f in (lo, hi), bracketed to width xtol.
+
+    Newton on fd, which returns (f, f') up to a positive factor, runs from
+    the seed until its steps shrink below the precision.  Its root r is
+    kept only when it lies in (lo, hi) and f changes sign across
+    [r - xtol/2, r + xtol/2]; otherwise bracketed_root solves the bracket.
+    """
+    x = (lo + hi) / 2 if seed is None else mpf(seed)
+    for _ in range(mp.prec.bit_length()):
+        v, d = fd(x)
+        if not d:
+            break
+        dx = v / d
+        x -= dx
+        if M * dx * dx < mp.eps:
+            if lo < x < hi and f(x - xtol / 2) * f(x + xtol / 2) <= 0:
+                return x
+            break
+    try:
+        return bracketed_root(f, lo, hi, xtol)
+    except DomainError as exc:
+        # the signs at the ends are exact, so only rounding can equal them
+        raise PrecisionError(
+            "a mode lies closer to the end of its bracket than the working "
+            "precision resolves") from exc
 
 
 def find_modes(z, t, M, digits=40):
-    """All M modes, ordered by lambda_plus ascending (the soft mode first)."""
+    """All M modes, ordered by lambda_plus ascending (the soft mode first).
+
+    With B = t- z+/z-, the function Q = sin(phi) P_M(phi) equals
+    sin(phi) cos(M phi) + (t+ cos(phi) - B) sin(M phi), which is
+    R sin(M phi + theta) with theta = atan2(sin phi, t+ cos phi - B) in
+    (0, pi).  So Q(k pi/M) = (-1)^k sin(k pi/M), and each interval
+    ((k-1) pi/M, k pi/M), k = 2..M, holds a root; P_M has degree M in
+    cos(phi), so it holds exactly one.  The soft mode is real, in (0, pi/M),
+    iff P_M(0) = 1 + M (t+ - B) > 0; otherwise it is the one root phi = i psi
+    on the imaginary axis, below psi_max = acosh((t+ z+ - 1)/(t- z-)), where
+    lambda_plus = 1.
+
+    Each root is seeded by bisecting Q in floats (sinh psi + (t+ cosh psi - B)
+    tanh(M psi) on the imaginary axis, which does not overflow), then
+    polished by Newton on the same form at working precision.  A root is
+    kept only when char_poly changes sign within xtol = 10^(3 - dps) of it,
+    so its bracket is no wider than xtol; else bracketed_root solves its
+    interval.  The imaginary root can lie closer to psi_max than the working
+    precision resolves, so its interval reaches xtol past psi_max.
+
+    The imaginary mode's gap is exponentially small in M, so it is taken
+    from the mode-ratio identity, sinh(gamma_hat) = |z-| sinh(psi) /
+    sinh(M psi), and c = 1 + 2 sinh^2(gamma_hat/2); acosh(c) keeps no
+    digit of a gap below 10^(-dps/2), where c rounds to 1.  The real modes
+    use gamma_hat = acosh(c).
+    """
     if M < 2 or M % 2:
         raise DomainError("the spectral route requires even M >= 2")
-    z, t = to_mpf(z), to_mpf(t)
-    if not (0 < z < 1 and 0 < t < 1):
-        raise DomainError("find_modes requires 0 < z < 1 and 0 < t < 1")
     with working_dps(digits):
+        z, t = to_mpf(z), to_mpf(t)
+        if not (0 < z < 1 and 0 < t < 1):
+            raise DomainError("find_modes requires 0 < z < 1 and 0 < t < 1")
         tp, tm = pm(t)
         zp, zm = pm(z)
-        phis = None
-        for mult in (8, 16, 32, 64):
-            roots = _real_roots(z, t, M, mult * M)
-            if len(roots) == M:
-                phis = [(r, "real") for r in roots]
-                break
-            if len(roots) == M - 1:
-                psi = _imag_root(z, t, M)
-                if psi is not None:
-                    phis = [(r, "real") for r in roots] + [(psi, "imag")]
-                    break
-        if phis is None:
+        # z- = (z - 1/z)/2 cancels about log10(z+/|z-|) digits, and t- alike;
+        # every later step inherits the loss, at any precision
+        if max(zp / -zm, tp / -tm) > 10 ** GUARD_DIGITS:
             raise PrecisionError(
-                f"found {len(roots)} of {M} modes; increase the precision "
-                "or the bracketing grid"
-            )
+                f"z or t lies within 10^-{GUARD_DIGITS} of 1: forming z- or t- "
+                "would cancel more digits than the guard holds")
+        B = tm * zp / zm
+        p0 = 1 + M * (tp - B)
+        if abs(p0) <= M * (tp + B) * mp.eps:
+            raise PrecisionError(
+                "the soft mode sits at phi = 0 to working precision; "
+                "increase the precision")
+        xtol = mpf(10) ** (-(mp.dps - 3))
+        ftp, fB = float(tp), float(B)
+
+        def f_real(phi):
+            return char_poly(phi, z, t, M)
+
+        def fd_real(phi):
+            c1, s1 = mpmath.cos_sin(phi)
+            cM, sM = mpmath.cos_sin(M * phi)
+            b = tp * c1 - B
+            return s1 * cM + b * sM, (c1 + M * b) * cM - (M + tp) * s1 * sM
+
+        def q_float(phi):
+            return math.sin(phi) * math.cos(M * phi) + (ftp * math.cos(phi) - fB) * math.sin(M * phi)
+
         modes = []
-        for phi, kind in phis:
-            ch = mpmath.cosh(phi) if kind == "imag" else mpmath.cos(phi)
-            c = tp * zp - tm * zm * ch
+        if p0 < 0:
+            hi = mpmath.acosh((tp * zp - 1) / (tm * zm)) + xtol
+
+            def f_imag(psi):
+                return char_poly(mpc(0, psi), z, t, M)
+
+            def fd_imag(psi):
+                sh, ch, th = mpmath.sinh(psi), mpmath.cosh(psi), mpmath.tanh(M * psi)
+                b = tp * ch - B
+                return sh + b * th, ch + tp * sh * th + M * b * (1 - th * th)
+
+            def g_float(psi):
+                return math.sinh(psi) + (ftp * math.cosh(psi) - fB) * math.tanh(M * psi)
+
+            seed = _float_seed(g_float, 0.0, float(hi), False)
+            psi = _polish(f_imag, fd_imag, mpf(0), hi, seed, M, xtol)
+            gh = mpmath.asinh(-zm * mpmath.sinh(psi) / mpmath.sinh(M * psi))
+            modes.append(("imag", psi, 1 + 2 * mpmath.sinh(gh / 2) ** 2, gh))
+        for k in range(2 if p0 < 0 else 1, M + 1):
+            lo, hi = mpmath.pi * (k - 1) / M, mpmath.pi * k / M
+            seed = _float_seed(q_float, math.pi * (k - 1) / M, math.pi * k / M, k % 2 == 1)
+            phi = _polish(f_real, fd_real, lo, hi, seed, M, xtol)
+            c = tp * zp - tm * zm * mpmath.cos(phi)
             if c < 1:
                 raise PrecisionError("mode with lambda_plus < 1; precision too low")
-            modes.append((c, phi, kind))
-        modes.sort(key=lambda rec: rec[0])
+            modes.append(("real", phi, c, mpmath.acosh(c)))
         out = []
-        for i, (c, phi, kind) in enumerate(modes):
-            gh = mpmath.acosh(c)
+        for i, (kind, phi, c, gh) in enumerate(modes):
             sg = 1 if i % 2 == 0 else -1
             out.append(Mode(kind=kind, phi=phi, c=c, gamma_hat=gh, sigma=sg,
                             lam_hat=mpmath.exp(gh), lam=mpmath.exp(sg * gh)))
@@ -478,7 +537,11 @@ def log_strip_part(spectrum, L, rs=None, digits=None):
 
     The per-mode factor is
         N_mu = ((t+ z+ - c)^2 - t-^2 z-^2)/(M lamm_hat^2 + z+ c - t+)
-               * lamm_hat / v_mu * lam_hat^L.
+               * lamm_hat / v_mu * lam_hat^L,
+    with the numerator taken as -(t- z- sin phi)^2, or (t- z- sinh psi)^2 on
+    the imaginary axis.  Raises PrecisionError when the denominator cancels
+    more than GUARD_DIGITS digits, as it does near the coupling where the
+    soft mode crosses phi = 0.
     Signs are tracked and the bracket is required to be positive for
     integer L (positivity of Z^2 / det(1+Y)^2).
     """
@@ -496,8 +559,18 @@ def log_strip_part(spectrum, L, rs=None, digits=None):
         sign = s3
         for mu, md in enumerate(spectrum.modes):
             lamm_hat = mpmath.sinh(md.gamma_hat)
-            num = (tp * zp - md.c) ** 2 - (tm * zm) ** 2
-            den = M * lamm_hat ** 2 + zp * md.c - tp
+            # (t+ z+ - c)^2 - (t- z-)^2 without the cancellation at small phi
+            if md.kind == "imag":
+                num = (tm * zm * mpmath.sinh(md.phi)) ** 2
+            else:
+                num = -(tm * zm * mpmath.sin(md.phi)) ** 2
+            parts = (M * lamm_hat ** 2, zp * md.c, -tp)
+            den = sum(parts)
+            # den vanishes like phi^2 where the soft mode crosses phi = 0
+            if sum(abs(p) for p in parts) > 10 ** GUARD_DIGITS * abs(den):
+                raise PrecisionError(
+                    f"the normalisation of mode {mu} cancels more digits than "
+                    "the guard holds; its angle is too close to 0")
             term = num / den * lamm_hat / rs.v[mu]
             tl, ts = signed_log(term)
             lg += tl + L * md.gamma_hat

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -105,3 +107,11 @@ def test_site_bound():
     grid = CouplingGrid.from_scalars(LatticeSpec(5, 5), "0.1", "0.1")
     with pytest.raises(DomainError, match=str(MAX_SITES)):
         brute_force_logZ(grid)
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the counting path uses numpy; it is imported there, on first use
+    code = "import sys, isingrect; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,10 @@
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from isingrect.brute_force import brute_force_logZ
+from isingrect.cylinder import logZ_cylinder
 from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, dual, pm
 from isingrect.numerics import PrecisionError, working_dps
 from isingrect.pfaffian import logZ_pfaffian
@@ -311,3 +313,118 @@ def test_direct_coupling_parameters():
         worst = max(abs(G[i, j] - (1 if i == j else 0)) for i in range(4) for j in range(4))
         assert worst < mpf("1e-32")
         assert abs(mpmath.exp(sum(m.sigma * m.gamma_hat for m in sp.modes)) - t) < mpf("1e-32")
+
+
+# --- soft gap of the ordered phase ------------------------------------------
+# logZ_cylinder at 60 digits; each takes 10 to 35 s to compute, so the values
+# are kept here
+CYLINDER_60 = {
+    (8, 64, "1"): "953.31755324453124912192776097565651912263357210674433048026956937",
+    (8, 96, "0.6"): "875.4982673341734394271537843112198988142790735441969848591375101",
+}
+
+
+def _reference(L, M, K):
+    if (L, M, K) in CYLINDER_60:
+        return mpf(CYLINDER_60[L, M, K])
+    if L == 8:
+        grid = CouplingGrid.from_scalars(LatticeSpec(L, M), K, K)
+        return logZ_cylinder(grid, 60)
+    hom = HomogeneousCouplings.from_K(K, K, 120)
+    return logZ_spectral(L, M, hom.z, hom.t, 120)
+
+
+@pytest.mark.parametrize("L,M,K", [(32, 96, "0.5"), (8, 32, "1"), (8, 64, "1"), (8, 96, "0.6")])
+def test_ordered_phase_soft_gap(L, M, K):
+    # the imaginary mode's gap is exponentially small; taken from acosh(c) it
+    # read the floor sqrt(10^-dps) and logZ came out wrong without an error
+    digits = 40
+    with working_dps(80):
+        ref = _reference(L, M, K)
+    with working_dps(digits):
+        hom = HomogeneousCouplings.from_K(K, K, digits)
+        sp = find_modes(hom.z, hom.t, M, digits)
+        assert sp.modes[0].kind == "imag"
+        got = logZ_spectral(L, M, hom.z, hom.t, digits)
+    with working_dps(80):
+        assert abs(got - ref) < mpf(10) ** (2 - digits) * abs(ref)
+
+
+# --- brackets, seeds and the certificate --------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.02, 0.98), st.floats(0.02, 0.98), st.integers(1, 64))
+def test_mode_brackets_and_certificate(z, t, half):
+    M = 2 * half
+    with working_dps(40):
+        z, t = mpf(z), mpf(t)
+        sp = find_modes(z, t, M)
+        tp, tm = pm(t)
+        zp, zm = pm(z)
+        p0 = 1 + M * (tp - tm * zp / zm)
+        assert [m.kind for m in sp.modes] == ["real" if p0 > 0 else "imag"] + ["real"] * (M - 1)
+        xtol = mpf(10) ** (3 - mp.dps)
+        for k, md in enumerate(sp.modes, start=1):
+            if md.kind == "real":
+                assert mpmath.pi * (k - 1) / M < md.phi < mpmath.pi * k / M
+                ends = [char_poly(md.phi + s * xtol / 2, z, t, M) for s in (-1, 1)]
+            else:
+                ends = [char_poly(mpc(0, md.phi + s * xtol / 2), z, t, M) for s in (-1, 1)]
+            assert ends[0] * ends[1] <= 0
+
+
+def _p0(K, M):
+    """P_M(0) = 1 + M (t+ - t- z+/z-) at the isotropic coupling K."""
+    hom = HomogeneousCouplings.from_K(K, K, mp.dps)
+    tp, tm = pm(hom.t)
+    zp, zm = pm(hom.z)
+    return 1 + M * (tp - tm * zp / zm)
+
+
+@pytest.mark.parametrize("shift", ["-1e-6", "-1e-30", "-1e-45", "1e-45", "1e-30", "1e-6"])
+def test_soft_mode_near_the_axis_crossing(shift):
+    # near the K where P_M(0) = 0 the soft mode passes from the real axis to
+    # the imaginary one through phi = 0, and the strip factor's normalisation
+    # cancels about log10(1/phi^2) digits: refused past the guard digits
+    L, M, digits = 16, 16, 40
+    with working_dps(100):
+        K0 = mpmath.findroot(lambda K: _p0(K, M), mpf("0.47"))
+        K = K0 + mpf(shift)
+        assert (_p0(K, M) > 0) == (shift[0] == "-")
+    with working_dps(60):
+        ref = logZ_cylinder(CouplingGrid.from_scalars(LatticeSpec(L, M), K, K), 60)
+    with working_dps(digits):
+        hom = HomogeneousCouplings.from_K(K, K, digits)
+        try:
+            got = logZ_spectral(L, M, hom.z, hom.t, digits)
+        except PrecisionError:
+            assert abs(mpf(shift)) < mpf("1e-20")
+            return
+    with working_dps(60):
+        assert abs(got - ref) < mpf(10) ** (2 - digits) * abs(ref)
+
+
+@pytest.mark.parametrize("K", ["5", "11", "20"])
+def test_strong_coupling(K):
+    # above K = 11.86, z- = (z - 1/z)/2 cancels more digits than the guard
+    # holds, and the route refuses; below, it matches the Pfaffian
+    L, M, digits = 4, 4, 40
+    with working_dps(60):
+        ref = logZ_pfaffian(CouplingGrid.from_scalars(LatticeSpec(L, M), K, K), 60)
+    with working_dps(digits):
+        hom = HomogeneousCouplings.from_K(K, K, digits)
+        if mpf(K) > mpf("11.86"):
+            with pytest.raises(PrecisionError):
+                logZ_spectral(L, M, hom.z, hom.t, digits)
+            return
+        got = logZ_spectral(L, M, hom.z, hom.t, digits)
+    with working_dps(60):
+        assert abs(got - ref) < mpf(10) ** (2 - digits) * abs(ref)
+
+
+def test_float_overflow_in_the_seeds():
+    # t+ = 5e399 has no float; the seeds fall back to the bracket midpoints,
+    # and the roots hug k pi/M closer than the precision resolves
+    with working_dps(40):
+        with pytest.raises(PrecisionError):
+            find_modes(mpf("0.5"), mpf("1e-400"), 4)
