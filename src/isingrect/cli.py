@@ -100,10 +100,10 @@ def _eval_row(grid, path, digits):
     L, M = grid.spec.L, grid.spec.M
     blank = [""] * 3
     with working_dps(digits):
-        hom_grid = homogeneous_from_grid(grid, digits)
         Kh, Kv = _scalar_couplings(grid)
         if path == "spectral":
-            if hom_grid is None:
+            # the other paths take any ferromagnetic grid, strong couplings too
+            if homogeneous_from_grid(grid, digits) is None:
                 raise DomainError(
                     "the spectral path needs an open homogeneous rectangle "
                     "with ferromagnetic couplings"

@@ -26,14 +26,39 @@ The factor coefficients are closed forms in the couplings,
 
 the pm pairs of z = tanh Kh and t = exp(-2Kv), without forming z or t: at
 large K, 1 - z has no digit left at the working precision.
+
+Fixed point.  The column loop runs on Python ints: a real x is held as the
+int round(x 2^F), with F = prec + EXTRA_BITS bits and prec the working
+precision.  The coefficients are rounded to this grid once per distinct
+coupling.  A row operation is (a x_i + b x_j + 2^(F-1)) >> F, one rounding
+per entry.  Gram-Schmidt lifts a column to 2^(2F), subtracts its
+projections exactly, rounds each projection coefficient once, takes the
+norm by isqrt and normalises by a rounded division.  Only sum log r_jj, the
+certificate ratio and the M x M corner return to mpf.  Each log r_jj is the
+log of the norm with its power of two applied as an mpf exponent; the log
+of the int less a multiple of log 2 would cancel about two digits.
+
+Rounding here is absolute, 2^-F per entry, not relative.  That is safe
+because Q has orthonormal columns, so every entry is at most 1, and
+Gram-Schmidt in floating point leaves errors of the same kind: relative to
+a column's norm, not to each entry.  It fails for a column that shrinks
+before Gram-Schmidt, whose absolute errors are then large beside it.  A
+column x that Gram-Schmidt leaves with norm r has a relative error of about
+2^-F max(|x|, 1) / r, against 2^-prec |x| / r in floating point.  The
+certificate therefore takes r / max(|x|, 2^-EXTRA_BITS) for each column:
+the floating-point ratio r / |x| down to |x| = 2^-EXTRA_BITS, where the
+extra bits absorb the shrinkage, and a bound on the loss of any smaller
+column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import mul
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .lattice import log_C2_dagger
 from .numerics import (
@@ -45,11 +70,21 @@ from .numerics import (
     working_dps,
 )
 
+# fixed-point bits beyond the working precision
+EXTRA_BITS = 20
+
+
+def to_fixed(x, bits):
+    """The int nearest to x 2^bits."""
+    return int(mpmath.nint(mpmath.ldexp(x, bits)))
+
 
 @dataclass
 class ColumnFactors:
-    """Coefficients of one column's factors, one entry per row m."""
+    """Coefficients of one column's factors, one entry per row m, as ints
+    scaled by 2^bits."""
 
+    bits: int
     z_plus: tuple    # coth 2Kh; 1 on the last column
     z_minus: tuple   # -1/sinh 2Kh; 0 on the last column
     t_plus: tuple    # cosh 2Kv
@@ -57,9 +92,28 @@ class ColumnFactors:
 
 
 def build_factors(grid, digits=40):
-    """The L columns' coefficients; the last column's Vz uses the formal z = 1."""
+    """The L columns' coefficients; the last column's Vz uses the formal z = 1.
+
+    The closed forms are evaluated once per distinct coupling and rounded to
+    F = prec + EXTRA_BITS bits at the working precision.
+    """
     with working_dps(digits):
+        F = mp.prec + EXTRA_BITS
         L, M = grid.spec.L, grid.spec.M
+        horizontal, vertical = {}, {}
+
+        def h_pair(K):
+            if K not in horizontal:
+                horizontal[K] = (to_fixed(mpmath.coth(2 * K), F),
+                                 to_fixed(-1 / mpmath.sinh(2 * K), F))
+            return horizontal[K]
+
+        def v_pair(K):
+            if K not in vertical:
+                vertical[K] = (to_fixed(mpmath.cosh(2 * K), F),
+                               to_fixed(-mpmath.sinh(2 * K), F))
+            return vertical[K]
+
         columns = []
         for l in range(L):
             Kh, Kv = grid.Kh[l], grid.Kv[l]
@@ -69,14 +123,11 @@ def build_factors(grid, digits=40):
                     "couplings must be ferromagnetic and finite"
                 )
             if l < L - 1:
-                zp = tuple(mpmath.coth(2 * K) for K in Kh)
-                zm = tuple(-1 / mpmath.sinh(2 * K) for K in Kh)
+                zp, zm = zip(*map(h_pair, Kh))
             else:
-                zp, zm = (mpf(1),) * M, (mpf(0),) * M
-            columns.append(ColumnFactors(
-                z_plus=zp, z_minus=zm,
-                t_plus=tuple(mpmath.cosh(2 * K) for K in Kv),
-                t_minus=tuple(-mpmath.sinh(2 * K) for K in Kv)))
+                zp, zm = (1 << F,) * M, (0,) * M
+            tp, tm = zip(*map(v_pair, Kv))
+            columns.append(ColumnFactors(F, zp, zm, tp, tm))
         return columns
 
 
@@ -101,46 +152,58 @@ def vertical_rows(tp, tm):
     return top + bottom
 
 
-def apply_rows(rows, cols):
-    """A factor given by its row operations, applied to X given by its columns."""
-    return [[a * x[i] + b * x[j] for a, i, b, j in rows] for x in cols]
+def apply_rows(rows, cols, bits):
+    """A factor given by its row operations, applied to X given by its
+    columns; coefficients and entries are ints scaled by 2^bits."""
+    half = 1 << (bits - 1)
+    return [[(a * x[i] + b * x[j] + half) >> bits for a, i, b, j in rows]
+            for x in cols]
 
 
-def orthonormalise(cols):
-    """Modified Gram-Schmidt on X's columns in place, X = Q R.
+def orthonormalise(cols, bits):
+    """Modified Gram-Schmidt on X's columns in place, X = Q R, on ints
+    scaled by 2^bits.
 
-    Returns sum log r_jj and the smallest ratio |r_jj| / |x_j| over the
-    columns.  Every r_jj is the norm of a column after its projections, so
-    the diagonal of R is positive.  A ratio of 10^-d says that the
-    projections cancelled all but 10^-d of a column, so its rounding errors
-    grew by 10^d relative to what is left of it.
+    Returns sum log r_jj and the smallest ratio r_jj / max(|x_j|, 2^-EXTRA_BITS)
+    over the columns x_j, both as mpf.  Every r_jj is the norm of a column
+    after its projections, so the diagonal of R is positive.  A ratio of
+    10^-d says that the column's rounding errors grew by 10^d relative to
+    what is left of it, whether the projections cancelled it or it reached
+    Gram-Schmidt smaller than the fixed-point grid resolves.
     """
+    F, F2 = bits, 2 * bits
+    half2 = 1 << (F2 - 1)
+    floor = 1 << (F - EXTRA_BITS)
     log_r = mpf(0)
-    kept = mpf(1)
-    for j in range(len(cols)):
-        v = cols[j]
-        before = mpmath.fdot(v, v)
+    kept_num, kept_den = 1, 1
+    for j, x in enumerate(cols):
+        before = max(isqrt(sum(map(mul, x, x))), floor)
+        v = [e << F for e in x]                      # scaled by 2^2F
         for q in cols[:j]:
-            r = mpmath.fdot(q, v)
-            v = [x - r * y for x, y in zip(v, q)]
-        norm = mpmath.sqrt(mpmath.fdot(v, v))
+            r = (sum(map(mul, q, v)) + half2) >> F2  # q . v, scaled by 2^F
+            v = [e - r * y for e, y in zip(v, q)]
+        norm = isqrt(sum(map(mul, v, v)))            # |v| 2^2F
         if norm == 0:
             # Z > 0, so the block keeps full rank: it lost it to rounding
             raise PrecisionError("transfer-matrix block lost its rank to rounding")
-        kept = min(kept, norm / mpmath.sqrt(before))
-        log_r += mpmath.log(norm)
-        inv = 1 / norm
-        cols[j] = [x * inv for x in v]
-    return log_r, kept
+        # norm / (before 2^F) < kept_num / kept_den
+        den = before << F
+        if norm * kept_den < kept_num * den:
+            kept_num, kept_den = norm, den
+        log_r += mpmath.log(mpf((norm, -F2)))
+        twice = norm << 1
+        cols[j] = [((e << (F + 1)) + norm) // twice for e in v]
+    return log_r, mpf(kept_num) / kept_den
 
 
 def logZ_cylinder(grid, digits=40):
     """log Z from the half-sum block carried through the columns.
 
     Raises PrecisionError when Gram-Schmidt or the corner determinant's
-    elimination cancels more than GUARD_DIGITS digits, or when a pivot or
-    an r_jj cancels to zero.  The cancellation does not depend on the
-    precision, so raising it does not help.
+    elimination cancels more than GUARD_DIGITS digits, when a column reaches
+    Gram-Schmidt so small that the fixed-point grid costs it as many, or
+    when a pivot or an r_jj cancels to zero.  The cancellation does not
+    depend on the precision, so raising it does not help.
     """
     L, M = grid.spec.L, grid.spec.M
     for l in range(L - 1):
@@ -152,22 +215,24 @@ def logZ_cylinder(grid, digits=40):
                 )
     with working_dps(digits):
         columns = build_factors(grid, digits)
-        cols = [[mpf(1) if i % M == j else mpf(0) for i in range(2 * M)]
+        F = columns[0].bits
+        one = 1 << F
+        cols = [[one if i % M == j else 0 for i in range(2 * M)]
                 for j in range(M)]          # X = E
         log_r, kept = mpf(0), mpf(1)
         # right to left: Vt_1, Vz_1, Vt_2, Vz_2, ..., Vz_{L-1}, Vt_L
         for l, f in enumerate(columns):
             if l > 0:
                 prev = columns[l - 1]
-                cols = apply_rows(horizontal_rows(prev.z_plus, prev.z_minus), cols)
-            cols = apply_rows(vertical_rows(f.t_plus, f.t_minus), cols)
-            lr, k = orthonormalise(cols)
+                cols = apply_rows(horizontal_rows(prev.z_plus, prev.z_minus), cols, F)
+            cols = apply_rows(vertical_rows(f.t_plus, f.t_minus), cols, F)
+            lr, k = orthonormalise(cols, F)
             log_r += lr
             kept = min(kept, k)
         C = mpmath.matrix(M, M)
         for j, x in enumerate(cols):
             for i in range(M):
-                C[i, j] = (x[i] + x[M + i]) / 2
+                C[i, j] = mpf((x[i] + x[M + i], -F - 1))
         det = log_abs_det(C)
         ld, s = det
         if s == 0:

@@ -254,6 +254,7 @@ def log_C2_dagger(grid):
     L, M = grid.spec.L, grid.spec.M
     total = (L + 1) * M * mpmath.log(mpf(2))
     sign = 1
+    logs = {}    # log|sinh 2Kh| once per distinct coupling
     for l in range(L - 1):
         for m in range(M):
             Kh = grid.Kh[l][m]
@@ -261,7 +262,9 @@ def log_C2_dagger(grid):
                 raise DomainError(
                     "C2 requires 0 < |z| < 1 on every interior column (1/z_minus appears)"
                 )
-            total += mpmath.log(abs(mpmath.sinh(2 * Kh)))
+            if Kh not in logs:
+                logs[Kh] = mpmath.log(abs(mpmath.sinh(2 * Kh)))
+            total += logs[Kh]
             if Kh > 0:
                 sign = -sign
     return total, sign

@@ -1,7 +1,9 @@
 import json
 
-
+import pytest
 from mpmath import mpf
+
+from isingrect.brute_force import brute_force_logZ
 
 from isingrect.cli import main
 from isingrect.lattice import CouplingGrid, LatticeSpec
@@ -43,6 +45,26 @@ def test_eval_grid_matches_pfaffian(capsys, tmp_path):
         logZ = mpf(out.strip().split("\n")[1].split(",")[4])
         direct = logZ_pfaffian(grid)
         assert abs(logZ - direct) < mpf("1e-30") * abs(direct)
+
+
+@pytest.mark.parametrize("path", ["pfaffian", "oracle"])
+def test_eval_strong_coupling_on_grid_paths(capsys, path):
+    # z = tanh 60 rounds to 1, which only the spectral path cannot take
+    code, out, _ = run(capsys, "eval", "--path", path, "-L", "2", "-M", "2",
+                       "--Kh", "60", "--Kv", "60")
+    assert code == 0
+    with working_dps(40):
+        logZ = mpf(out.strip().split("\n")[1].split(",")[4])
+        grid = CouplingGrid.from_scalars(LatticeSpec(2, 2), "60", "60")
+        direct = brute_force_logZ(grid).logZ
+        assert abs(logZ - direct) < mpf("1e-38") * abs(direct)
+
+
+def test_eval_strong_coupling_tm_raises_its_own_error(capsys):
+    code, _, err = run(capsys, "eval", "--path", "tm", "-L", "2", "-M", "2",
+                       "--Kh", "60", "--Kv", "60")
+    assert code == 3
+    assert "transfer-matrix" in err
 
 
 def test_eval_rejects_mixed_sources(capsys, tmp_path):

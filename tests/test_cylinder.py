@@ -1,17 +1,20 @@
+import math
 import random
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from isingrect import cylinder
 from isingrect.brute_force import brute_force_logZ
 from isingrect.cylinder import (
+    EXTRA_BITS,
     apply_rows,
     build_factors,
     horizontal_rows,
     logZ_cylinder,
     orthonormalise,
+    to_fixed,
     vertical_rows,
 )
 from isingrect.lattice import PERIODIC, CouplingGrid, HomogeneousCouplings, LatticeSpec, pm
@@ -52,6 +55,43 @@ def horizontal_factor(zp, zm):
         V[a, M + a] = -zm[a]
         V[M + a, a] = -zm[a]
     return V
+
+
+def apply_rows_mpf(rows, cols):
+    """The row operations in mpf; the reference for the fixed-point kernel."""
+    return [[a * x[i] + b * x[j] for a, i, b, j in rows] for x in cols]
+
+
+def orthonormalise_mpf(cols):
+    """Modified Gram-Schmidt in mpf, in place; the reference for the
+    fixed-point kernel.  Returns sum log r_jj and the smallest |r_jj| / |x_j|."""
+    log_r = mpf(0)
+    kept = mpf(1)
+    for j in range(len(cols)):
+        v = cols[j]
+        before = mpmath.fdot(v, v)
+        for q in cols[:j]:
+            r = mpmath.fdot(q, v)
+            v = [x - r * y for x, y in zip(v, q)]
+        norm = mpmath.sqrt(mpmath.fdot(v, v))
+        kept = min(kept, norm / mpmath.sqrt(before))
+        log_r += mpmath.log(norm)
+        inv = 1 / norm
+        cols[j] = [x * inv for x in v]
+    return log_r, kept
+
+
+def _bits():
+    """The fixed-point bits of the active precision."""
+    return mp.prec + EXTRA_BITS
+
+
+def _reals(ints, bits):
+    return [mpf((n, -bits)) for n in ints]
+
+
+def _fixed(block, bits):
+    return [[to_fixed(x, bits) for x in col] for col in block]
 
 
 def _random_grid(L, M, seed, periodic=True):
@@ -97,10 +137,12 @@ def test_boundary_column_is_identity():
     columns = build_factors(grid)
     last = columns[-1]
     # z = 1 on the last column: z+ = 1, z- = 0
-    assert horizontal_factor(last.z_plus, last.z_minus) == mpmath.eye(6)
+    assert horizontal_factor(_reals(last.z_plus, last.bits),
+                             _reals(last.z_minus, last.bits)) == mpmath.eye(6)
     # open vertical boundary: t = 1, so the seam entries vanish
     first = columns[0]
-    Vt = vertical_factor(first.t_plus, first.t_minus)
+    Vt = vertical_factor(_reals(first.t_plus, first.bits),
+                         _reals(first.t_minus, first.bits))
     assert Vt[0, 2 * 3 - 1] == 0 and Vt[3 + 2, 0] == 0
 
 
@@ -112,7 +154,8 @@ def test_factor_coefficients_are_pm_pairs():
     with working_dps(40):
         z = mpmath.tanh(mpf("0.3"))
         zv = mpmath.tanh(mpf("0.7"))
-        for got, want in zip((f.z_plus[0], f.z_minus[0], f.t_plus[0], f.t_minus[0]),
+        for got, want in zip(_reals((f.z_plus[0], f.z_minus[0], f.t_plus[0],
+                                     f.t_minus[0]), f.bits),
                              pm(z) + pm((1 - zv) / (1 + zv))):
             assert abs(got - want) < tol(-2, 40) * abs(want)
 
@@ -126,50 +169,118 @@ def test_row_operations_match_dense_factors(M):
     # M = 1 and odd M exercise the seam rows
     rng = random.Random(M)
     with working_dps(40):
+        F = _bits()
         tp = [mpf(rng.uniform(1, 3)) for _ in range(M)]
         tm = [-mpf(rng.uniform(0, 2)) for _ in range(M)]
         zp = [mpf(rng.uniform(1, 3)) for _ in range(M)]
         zm = [-mpf(rng.uniform(0, 2)) for _ in range(M)]
-        for rows, dense in ((vertical_rows(tp, tm), vertical_factor(tp, tm)),
-                            (horizontal_rows(zp, zm), horizontal_factor(zp, zm))):
+        for rows, dense in (
+                (vertical_rows(*_fixed((tp, tm), F)), vertical_factor(tp, tm)),
+                (horizontal_rows(*_fixed((zp, zm), F)), horizontal_factor(zp, zm))):
             cols = _random_block(rng, M)
             X = mpmath.matrix(2 * M, M)
             for j in range(M):
                 for i in range(2 * M):
                     X[i, j] = cols[j][i]
             want = dense * X
-            got = apply_rows(rows, cols)
+            got = [_reals(x, F) for x in apply_rows(rows, _fixed(cols, F), F)]
             for j in range(M):
                 for i in range(2 * M):
                     assert abs(got[j][i] - want[i, j]) < tol(-8, 40)
+
+
+def _check_qr(X, Q, log_r, kept):
+    """Q^T Q = I, R = Q^T X upper triangular with a positive diagonal,
+    X = Q R and sum log r_jj = log_r, each to tol(-8, 40)."""
+    M = len(X)
+    assert 0 < kept <= 1
+    log_diag = mpf(0)
+    for j in range(M):
+        residual = X[j][:]
+        for k in range(M):
+            # Q^T Q = I
+            g = mpmath.fdot(Q[j], Q[k])
+            assert abs(g - (1 if j == k else 0)) < tol(-8, 40)
+            # R = Q^T X is upper triangular with a positive diagonal
+            r = mpmath.fdot(Q[k], X[j])
+            if k > j:
+                assert abs(r) < tol(-8, 40)
+            elif k == j:
+                assert r > 0
+                log_diag += mpmath.log(r)
+            residual = [x - r * q for x, q in zip(residual, Q[k])]
+        # X = Q R
+        assert max(abs(x) for x in residual) < tol(-8, 40)
+    assert abs(log_diag - log_r) < tol(-6, 40)
 
 
 @pytest.mark.parametrize("M", [1, 3, 6])
 def test_orthonormalise_is_qr_with_positive_diagonal(M):
     rng = random.Random(10 + M)
     with working_dps(40):
-        X = _random_block(rng, M)
+        F = _bits()
+        Xf = _fixed(_random_block(rng, M), F)
+        X = [_reals(c, F) for c in Xf]
+        Qf = [c[:] for c in Xf]
+        log_r, kept = orthonormalise(Qf, F)
+        _check_qr(X, [_reals(c, F) for c in Qf], log_r, kept)
+
+
+@pytest.mark.parametrize("M", [2, 5, 8])
+def test_fixed_point_kernels_match_mpf_references(M):
+    # one column's factors and Gram-Schmidt on a random block, by the int
+    # kernels and by the mpf ones on the same rounded inputs
+    rng = random.Random(30 + M)
+    with working_dps(40):
+        F = _bits()
+        coef = [[to_fixed(mpf(rng.uniform(lo, hi)), F) for _ in range(M)]
+                for lo, hi in ((1, 3), (-2, 0), (1, 3), (-2, 0))]
+        Xf = _fixed(_random_block(rng, M), F)
+        X = [_reals(c, F) for c in Xf]
+        for rows in (vertical_rows(*coef[:2]), horizontal_rows(*coef[2:])):
+            got = apply_rows(rows, Xf, F)
+            want = apply_rows_mpf([(mpf((a, -F)), i, mpf((b, -F)), j)
+                                   for a, i, b, j in rows], X)
+            for g, w in zip(got, want):
+                # the inputs are binary64 values, so the mpf reference is
+                # exact and the kernel is one rounding away from it
+                assert all(abs(mpf((x, -F)) - y) <= mpmath.ldexp(1, -F)
+                           for x, y in zip(g, w))
         Q = [c[:] for c in X]
-        log_r, kept = orthonormalise(Q)
-        assert 0 < kept <= 1
-        log_diag = mpf(0)
-        for j in range(M):
-            residual = X[j][:]
-            for k in range(M):
-                # Q^T Q = I
-                g = mpmath.fdot(Q[j], Q[k])
-                assert abs(g - (1 if j == k else 0)) < tol(-8, 40)
-                # R = Q^T X is upper triangular with a positive diagonal
-                r = mpmath.fdot(Q[k], X[j])
-                if k > j:
-                    assert abs(r) < tol(-8, 40)
-                elif k == j:
-                    assert r > 0
-                    log_diag += mpmath.log(r)
-                residual = [x - r * q for x, q in zip(residual, Q[k])]
-            # X = Q R
-            assert max(abs(x) for x in residual) < tol(-8, 40)
-        assert abs(log_diag - log_r) < tol(-6, 40)
+        log_r, kept = orthonormalise_mpf(Q)
+        log_r_f, kept_f = orthonormalise(Xf, F)
+        assert abs(log_r_f - log_r) < tol(-8, 40)
+        assert abs(kept_f - kept) < tol(-8, 40)
+        for qf, q in zip(Xf, Q):
+            assert all(abs(mpf((x, -F)) - y) < tol(-8, 40) for x, y in zip(qf, q))
+
+
+@pytest.mark.parametrize("scale", ["1e-12", "1e-40", "1e-70"])
+def test_small_column_is_right_or_raises(scale):
+    # a column far below 1 before Gram-Schmidt carries absolute rounding
+    # errors that are large beside it; the certificate must charge for them,
+    # so that every digit it claims is right
+    M = 4
+    rng = random.Random(7)
+    with working_dps(40):
+        F = _bits()
+        block = _random_block(rng, M)
+        block[2] = [x * mpf(scale) for x in block[2]]
+        Xf = _fixed(block, F)
+        X = [_reals(c, F) for c in Xf]
+        Qf = [c[:] for c in Xf]
+        try:
+            log_r, kept = orthonormalise(Qf, F)
+        except PrecisionError:
+            return
+        with working_dps(120):
+            Q = [c[:] for c in X]
+            log_r_ref, _ = orthonormalise_mpf(Q)
+        # logZ_cylinder raises below 1e-10, but the bound holds either way
+        claimed = mpf(10) ** -mp.dps / kept
+        assert abs(log_r - log_r_ref) < claimed
+        for qf, q in zip(Qf, Q):
+            assert all(abs(mpf((x, -F)) - y) < claimed for x, y in zip(qf, q))
 
 
 @pytest.mark.parametrize("L,M,Kh,Kv,periodic", [
@@ -221,6 +332,40 @@ def _right_or_raises(spec, Kh, Kv, digits=40):
         return
     b = logZ_pfaffian(CouplingGrid(spec, Kh, Kv, 150), 150)
     assert abs(a - b) < tol(2, digits) * abs(b)
+
+
+def _mixed_grid(rng):
+    """A random per-bond grid up to 6x5, open or periodic; its couplings are
+    log-uniform between 2e-5 and 200, within a factor 1000 of each other."""
+    L, M = rng.randint(1, 6), rng.randint(1, 5)
+    periodic = rng.random() < 0.5
+    lo = math.exp(rng.uniform(math.log(2e-5), math.log(0.2)))
+
+    def K():
+        return f"{lo * 1000 ** rng.random():.6g}"
+
+    Kh = [[K() if l < L - 1 else "0" for _ in range(M)] for l in range(L)]
+    Kv = [[K() if m < M - 1 or periodic else "0" for m in range(M)] for _ in range(L)]
+    return LatticeSpec(L, M, PERIODIC if periodic else "open"), Kh, Kv
+
+
+def test_mixed_scale_grids_are_right_to_every_digit_or_raise():
+    # 40 digits are printed; a value must agree with the Pfaffian at 150
+    # digits to better than half a unit in the last of them
+    digits = 40
+    rng = random.Random(5)
+    returned = 0
+    for _ in range(40):
+        spec, Kh, Kv = _mixed_grid(rng)
+        try:
+            a = logZ_cylinder(CouplingGrid(spec, Kh, Kv, digits), digits)
+        except PrecisionError:
+            continue
+        returned += 1
+        b = logZ_pfaffian(CouplingGrid(spec, Kh, Kv, 150), 150)
+        assert abs(a - b) < tol(-1, digits) * abs(b), (spec, Kh, Kv)
+    # the draws reach the strong couplings that raise, but most return
+    assert 30 <= returned < 40
 
 
 @pytest.mark.parametrize("L,M,K", [(8, 4, "10"), (8, 4, "50"), (3, 4, "50")])
