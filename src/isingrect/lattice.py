@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .numerics import ConsistencyError, DomainError, signed_log, to_mpf, working_dps
+from .numerics import (
+    ConsistencyError,
+    DomainError,
+    PrecisionError,
+    signed_log,
+    to_mpf,
+    working_dps,
+)
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -207,10 +214,22 @@ class HomogeneousCouplings:
 
     @classmethod
     def from_K(cls, Kh, Kv, digits=40):
-        """Build from reduced couplings Kh, Kv > 0."""
+        """Build from reduced couplings Kh, Kv > 0.
+
+        A positive coupling whose z or t rounds to 0 or 1 at the working
+        precision raises PrecisionError; K <= 0 raises DomainError.
+        """
         with working_dps(digits):
-            z = mpmath.tanh(to_mpf(Kh))
-            t = dual(mpmath.tanh(to_mpf(Kv)))
+            Kh, Kv = to_mpf(Kh), to_mpf(Kv)
+            if not (Kh > 0 and Kv > 0):
+                raise DomainError("homogeneous couplings require Kh > 0 and Kv > 0")
+            z = mpmath.tanh(Kh)
+            t = dual(mpmath.tanh(Kv))
+        if not (0 < z < 1 and 0 < t < 1):
+            raise PrecisionError(
+                f"z = tanh Kh or t = (1 - tanh Kv)/(1 + tanh Kv) rounds to 0 or 1 "
+                f"at {digits} digits"
+            )
         return cls(z, t)
 
 
@@ -228,7 +247,11 @@ def log_C0(grid):
 
 
 def log_C1(grid):
-    """(log|C1|, sign): C1 = prod_{ell<L} z_h * prod (1 - zv^2)."""
+    """(log|C1|, sign): C1 = prod_{ell<L} z_h * prod (1 - zv^2).
+
+    Each 1 - zv^2 = 1/cosh^2 Kv is taken as -2 log cosh Kv, which keeps its
+    digits where zv = tanh Kv rounds to 1.
+    """
     red = ReducedCouplings.from_grid(grid)
     L, M = grid.spec.L, grid.spec.M
     total, sign = mpf(0), 1
@@ -241,7 +264,7 @@ def log_C1(grid):
             sign *= s
     for l in range(L):
         for m in range(M):
-            total += mpmath.log(1 - red.zv[l][m] ** 2)
+            total -= 2 * mpmath.log(mpmath.cosh(grid.Kv[l][m]))
     return total, sign
 
 
@@ -304,8 +327,9 @@ def constants(grid, digits=40):
 
     Returns a dict with log_C0 always, log_C1/log_C2_dagger/log_C2 when the
     interior horizontal couplings are nonzero (they carry reciprocals), and
-    log_C3 when the grid is homogeneous.  The identity C2t = C0 C1 is
-    verified whenever both sides exist.
+    log_C3 when the grid is homogeneous with z and t inside (0, 1) at the
+    working precision.  The identity C2t = C0 C1 is verified whenever both
+    sides exist.
     """
     with working_dps(digits):
         out = {"log_C0": log_C0(grid), "digits": digits}
@@ -322,7 +346,10 @@ def constants(grid, digits=40):
         lc2, s2 = log_C2(grid)
         out["log_C2"] = lc2
         out["sign_C2"] = s2
-        hom = homogeneous_from_grid(grid, digits)
+        try:
+            hom = homogeneous_from_grid(grid, digits)
+        except PrecisionError:      # z or t rounds to 1 or 0: C3 has no digits
+            hom = None
         if hom is not None:
             lc3, s3 = log_C3(hom, grid.spec.L, grid.spec.M)
             out["log_C3"] = lc3

@@ -121,29 +121,58 @@ def log_abs_det(A):
     some with rows and columns scaled by up to 2^(+-100), one left a pivot
     above the bound.  A matrix that is not called singular gets exactly
     the result of plain elimination.
+
+    The elimination follows each row's profile: its first and last nonzero
+    column.  A row is zero left of its first column until elimination
+    reaches it, and an update by pivot row k extends its last column to
+    row k's.  The rows whose first column is at most k sit no lower than
+    the lowest such row of the input, so the pivot search and the
+    elimination at step k stop there, and each update runs over the pivot
+    row's nonzero columns only.  An entry that is exactly zero changes no
+    sum, so every pivot, the sign, the ratio and the singular decision are
+    those of the dense loop.  A row's first update rounds its other
+    entries to the working precision, as the dense loop's x - f*0 does, so
+    entries wider than the precision give the same bits too.  A matrix of
+    bandwidth b costs O(n b^2) instead of O(n^3).
     """
     n = A.rows
     if A.cols != n:
         raise DomainError("log_abs_det requires a square matrix")
     U = A.tolist()
-    row_scale = [max(abs(x) for x in row) for row in U]
+    lo, hi = [], []                # first and last nonzero column of each row
+    for row in U:
+        nz = [j for j, x in enumerate(row) if x]
+        lo.append(nz[0] if nz else n)
+        hi.append(nz[-1] if nz else -1)
+    row_scale = [max((abs(x) for x in row[a:b + 1]), default=mpf(0))
+                 for row, a, b in zip(U, lo, hi)]
+    # reach[k]: the lowest row whose first column is at most k; rows below
+    # it keep their input place and a zero in column k
+    reach = [-1] * n
+    for i, a in enumerate(lo):
+        if a < n:
+            reach[a] = i
+    for k in range(1, n):
+        reach[k] = max(reach[k], reach[k - 1])
     tiny = n * mpmath.ldexp(1, SINGULAR_PIVOT_BITS - mp.prec)
     sign = 1
     logdet = mpf(0)
     ratio = mpf(1)
     for k in range(n):
+        rows = range(k + 1, reach[k] + 1)
         piv, pval = k, abs(U[k][k])
-        for i in range(k + 1, n):
+        for i in rows:
             v = abs(U[i][k])
             if v > pval:
                 piv, pval = i, v
         if piv != k:
-            U[k], U[piv] = U[piv], U[k]
-            row_scale[k], row_scale[piv] = row_scale[piv], row_scale[k]
+            for a in (U, row_scale, lo, hi):
+                a[k], a[piv] = a[piv], a[k]
             sign = -sign
         Uk = U[k]
-        # Uk[:k] holds the multipliers l_kp of the pivot row
-        cancelled = pval + sum(abs(Uk[p] * U[p][k]) for p in range(k))
+        # Uk[lo[k]:k] holds the multipliers l_kp of the pivot row
+        cancelled = pval + sum(abs(Uk[p] * U[p][k])
+                               for p in range(lo[k], k) if hi[p] >= k)
         if pval <= tiny * max(row_scale[k], cancelled):
             return LogDet(mpf("-inf"), 0, mpf(0))
         ratio = min(ratio, pval / cancelled)
@@ -151,13 +180,23 @@ def log_abs_det(A):
         if mpmath.im(akk) == 0 and mpmath.re(akk) < 0:
             sign = -sign
         logdet += mpmath.log(abs(akk))
-        for i in range(k + 1, n):
+        hk = hi[k]
+        cols = [(j, Uk[j]) for j in range(k + 1, hk + 1) if Uk[j]]
+        for i in rows:
             Ui = U[i]
+            if not Ui[k]:
+                continue
             f = Ui[k] / akk
             Ui[k] = f
-            if f:
-                for j in range(k + 1, n):
-                    Ui[j] -= f * Uk[j]
+            for j, u in cols:
+                Ui[j] -= f * u
+            if k == lo[i]:
+                # first update of row i: round what the dense loop rounds
+                for j in range(k + 1, hi[i] + 1):
+                    if not Uk[j]:
+                        Ui[j] = +Ui[j]
+            if hk > hi[i]:
+                hi[i] = hk
     return LogDet(logdet, sign, ratio)
 
 

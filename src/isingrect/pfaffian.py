@@ -6,13 +6,19 @@ square root is safe.  The vertical direction is the cylinder's home; open
 vertical boundaries are realized by the zero wrap couplings already encoded
 in the grid.
 
+The nodes are ordered site-major, node b of site (l, m) at 4 (l M + m) + b,
+so every nonzero entry has |i - j| <= 4M + 1: the site's own 4 x 4 block,
+the vertical bond to the next site (5 apart, 4M - 5 on the wrap) and the
+horizontal bond to the next column (4M + 1 apart).  log_abs_det follows
+that band, and partial pivoting at most doubles its upper half, so the
+elimination costs O(LM (4M)^2) operations instead of the O((4LM)^3) of a
+dense one.  det A does not depend on the node order.
+
 A block Schur reduction to an LM x LM block-tridiagonal complement provides
 an internal factorization check (even M only).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
@@ -36,69 +42,54 @@ def _shift_wrap(n):
     return H
 
 
-@dataclass
-class KasteleynSystem:
-    A: mpmath.matrix          # 4LM x 4LM, antisymmetric
-    Zh: mpmath.matrix         # LM x LM horizontal coupling block
-    Zv: mpmath.matrix         # LM x LM vertical coupling block
-    digits: int
-
-
-def _coupling_blocks(grid, red):
-    L, M = grid.spec.L, grid.spec.M
-    N = L * M
-    Zh = mpmath.matrix(N, N)
-    Zv = mpmath.matrix(N, N)
-    for l in range(L):
-        for m in range(M):
-            i = l * M + m
-            if l + 1 < L:
-                Zh[i, (l + 1) * M + m] = red.z[l][m]
-            if m + 1 < M:
-                Zv[i, l * M + m + 1] = red.zv[l][m]
-            else:
-                Zv[i, l * M] = -red.zv[l][m]
-    return Zh, Zv
+# the decoration nodes of one site: entry (a, b) of the antisymmetric 4 x 4
+# block for a < b
+_SKELETON = {(0, 1): 1, (0, 2): -1, (0, 3): -1, (1, 2): 1, (1, 3): -1, (2, 3): 1}
 
 
 def build_A(grid, digits=40):
-    """Assemble the antisymmetric decoration matrix; antisymmetry is asserted."""
+    """Assemble the antisymmetric decoration matrix in site-major order.
+
+    Node b of site (l, m) is 4 (l M + m) + b.  Each site contributes its
+    4 x 4 skeleton, the bond up to (l, m + 1) joins its node 0 to that
+    site's node 1 (on the wrap, (l, 0) with a minus sign), and the bond to
+    (l + 1, m) joins its node 2 to that site's node 3.  Antisymmetry is
+    asserted over the stored entries.
+    """
     with working_dps(digits):
         red = ReducedCouplings.from_grid(grid)
-        N = grid.spec.nsites
-        Zh, Zv = _coupling_blocks(grid, red)
-        A = mpmath.matrix(4 * N, 4 * N)
+        L, M = grid.spec.L, grid.spec.M
+        entries = {}
 
-        def put(bi, bj, mat, s=1):
-            for i in range(N):
-                for j in range(N):
-                    v = mat[i, j]
-                    if v:
-                        A[bi * N + i, bj * N + j] += s * v
+        def put(i, j, v):           # +v at (i, j), -v at (j, i)
+            entries[i, j] = entries.get((i, j), 0) + v
+            entries[j, i] = entries.get((j, i), 0) - v
 
-        one = eye(N)
-        put(0, 1, one); put(0, 1, Zv)
-        put(0, 2, one, -1); put(0, 3, one, -1)
-        put(1, 0, one, -1); put(1, 0, Zv.T, -1)
-        put(1, 2, one); put(1, 3, one, -1)
-        put(2, 0, one); put(2, 1, one, -1)
-        put(2, 3, one); put(2, 3, Zh)
-        put(3, 0, one); put(3, 1, one)
-        put(3, 2, one, -1); put(3, 2, Zh.T, -1)
-        for i in range(4 * N):
-            if A[i, i] != 0:
-                raise ConsistencyError("decoration matrix has a nonzero diagonal")
-            for j in range(i + 1, 4 * N):
-                if A[i, j] != -A[j, i]:
-                    raise ConsistencyError("decoration matrix is not antisymmetric")
-        return KasteleynSystem(A=A, Zh=Zh, Zv=Zv, digits=digits)
+        for l in range(L):
+            for m in range(M):
+                s = 4 * (l * M + m)
+                for (a, b), v in _SKELETON.items():
+                    put(s + a, s + b, v)
+                if m + 1 < M:
+                    put(s, s + 5, red.zv[l][m])
+                else:
+                    put(s, 4 * l * M + 1, -red.zv[l][m])
+                if l + 1 < L:
+                    put(s + 2, s + 4 * M + 3, red.z[l][m])
+        n = 4 * grid.spec.nsites
+        A = mpmath.matrix(n, n)
+        for (i, j), v in entries.items():
+            if i == j or v != -entries[j, i]:
+                raise ConsistencyError("decoration matrix is not antisymmetric")
+            A[i, j] = v
+        return A
 
 
 def logZ_pfaffian(grid, digits=40):
     """log Z = (log C0 + log det A)/2; det A must come out positive."""
-    sys = build_A(grid, digits)
+    A = build_A(grid, digits)
     with working_dps(digits):
-        ld, sign = log_abs_det(sys.A)
+        ld, sign = log_abs_det(A)
         if sign <= 0:
             raise ConsistencyError(
                 "det A is not positive; the decoration assembly is inconsistent"
@@ -183,8 +174,7 @@ def schur_check(grid, digits=40):
                     raise DomainError(
                         "Schur blocks need nonzero vertical couplings on rows m < M"
                     )
-        sys = build_A(grid, digits)
-        ldA, sA = log_abs_det(sys.A)
+        ldA, sA = log_abs_det(build_A(grid, digits))
         lg_red, s_red = log_det_reduced(grid, red)
         if s_red == 0:
             raise DomainError("reduced minor vanishes; factorization undefined")

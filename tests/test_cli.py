@@ -67,6 +67,14 @@ def test_eval_strong_coupling_tm_raises_its_own_error(capsys):
     assert "transfer-matrix" in err
 
 
+def test_eval_strong_coupling_spectral_raises_precision_error(capsys):
+    # K = 60 is a valid coupling whose z = tanh K rounds to 1
+    code, _, err = run(capsys, "eval", "--path", "spectral", "-L", "2", "-M", "2",
+                       "--Kh", "60", "--Kv", "60")
+    assert code == 3
+    assert "rounds to" in err
+
+
 def test_eval_rejects_mixed_sources(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("ell,m,Kh,Kv\n1,1,0,0\n")

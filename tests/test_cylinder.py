@@ -368,6 +368,18 @@ def test_mixed_scale_grids_are_right_to_every_digit_or_raise():
     assert 30 <= returned < 40
 
 
+def test_pfaffian_on_mixed_scale_grids_is_right_to_every_digit():
+    # the same draws as above: the Pfaffian at 40 digits must agree with
+    # itself at 150 digits to better than half a unit in the 40th digit
+    digits = 40
+    rng = random.Random(5)
+    for _ in range(60):
+        spec, Kh, Kv = _mixed_grid(rng)
+        a = logZ_pfaffian(CouplingGrid(spec, Kh, Kv, digits), digits)
+        b = logZ_pfaffian(CouplingGrid(spec, Kh, Kv, 150), 150)
+        assert abs(a - b) < tol(-1, digits) * abs(b), (spec, Kh, Kv)
+
+
 @pytest.mark.parametrize("L,M,K", [(8, 4, "10"), (8, 4, "50"), (3, 4, "50")])
 def test_large_coupling_is_right_or_raises(L, M, K):
     grid = CouplingGrid.from_scalars(LatticeSpec(L, M), K, K)

@@ -15,7 +15,7 @@ from isingrect.lattice import (
     log_C3,
     pm,
 )
-from isingrect.numerics import DomainError, working_dps
+from isingrect.numerics import DomainError, PrecisionError, working_dps
 
 
 def test_pm_basic():
@@ -120,6 +120,32 @@ def test_constants_identity_and_C3_shape():
         assert sign == (1 if direct > 0 else -1)
         assert abs(lg - mpmath.log(abs(direct))) < mpf("1e-37")
         assert "log_C3" in c
+
+
+def test_constants_identity_at_strong_coupling():
+    # tanh 60 rounds to 1, so 1 - zv^2 would round to 0
+    grid = CouplingGrid.from_scalars(LatticeSpec(2, 2), "60", "60")
+    c = constants(grid)         # would raise if C2t != C0*C1
+    with working_dps(40):
+        assert abs(c["log_C0"] + c["log_C1"] - c["log_C2_dagger"]) \
+            < mpf("1e-38") * c["log_C2_dagger"]
+    with mpmath.mp.workdps(80):
+        # two horizontal bonds and two vertical ones
+        exact = 2 * mpmath.log(mpmath.tanh(60)) - 4 * mpmath.log(mpmath.cosh(60))
+        assert abs(c["log_C1"] - exact) < mpf("1e-38") * abs(exact)
+    assert "log_C3" not in c    # z - 1/z rounds to 0
+
+
+@pytest.mark.parametrize("Kh,Kv", [("60", "0.3"), ("0.3", "60"), ("0.3", "1e-60")])
+def test_homogeneous_rounding_to_a_boundary_is_precision(Kh, Kv):
+    with pytest.raises(PrecisionError):
+        HomogeneousCouplings.from_K(Kh, Kv)
+
+
+@pytest.mark.parametrize("Kh,Kv", [("0", "0.3"), ("0.3", "-0.2")])
+def test_homogeneous_nonpositive_coupling_is_domain(Kh, Kv):
+    with pytest.raises(DomainError):
+        HomogeneousCouplings.from_K(Kh, Kv)
 
 
 def test_homogeneous_detection():

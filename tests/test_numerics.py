@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from isingrect.numerics import (
     DomainError,
+    LogDet,
     bracketed_root,
     log_abs_det,
     set_precision,
@@ -61,26 +62,32 @@ def test_log_abs_det_singular():
 
 
 def _plain_elimination(A):
-    # reference: partial pivoting with no singularity threshold
+    # reference: dense partial pivoting with no singularity threshold; the
+    # multipliers stay in U for the pivot ratio, and a row whose multiplier
+    # is zero is left as it is
     n = A.rows
     U = A.copy()
-    sign, logdet = 1, mpf(0)
+    sign, logdet, ratio = 1, mpf(0), mpf(1)
     for k in range(n):
         piv = max(range(k, n), key=lambda i: (abs(U[i, k]), -i))
         if U[piv, k] == 0:
-            return mpf("-inf"), 0
+            return LogDet(mpf("-inf"), 0, mpf(0))
         if piv != k:
             for j in range(n):
                 U[k, j], U[piv, j] = U[piv, j], U[k, j]
             sign = -sign
+        pval = abs(U[k, k])
+        ratio = min(ratio, pval / (pval + sum(abs(U[k, p] * U[p, k]) for p in range(k))))
         if U[k, k] < 0:
             sign = -sign
-        logdet += mpmath.log(abs(U[k, k]))
+        logdet += mpmath.log(pval)
         for i in range(k + 1, n):
             f = U[i, k] / U[k, k]
-            for j in range(k + 1, n):
-                U[i, j] -= f * U[k, j]
-    return logdet, sign
+            U[i, k] = f
+            if f:
+                for j in range(k + 1, n):
+                    U[i, j] -= f * U[k, j]
+    return LogDet(logdet, sign, ratio)
 
 
 @settings(max_examples=25, deadline=None)
@@ -98,6 +105,79 @@ def test_log_abs_det_matches_plain_elimination(n, seed):
         ld, s = log_abs_det(A)
         if s != 0:
             assert (ld, s) == _plain_elimination(A)
+
+
+def _banded(rng, n, lower, upper, density, wide=False):
+    """n x n matrix with entries only for -lower <= j - i <= upper, each kept
+    with the given probability; wide entries carry 300 bits, more than the
+    working precision."""
+    def entry():
+        if wide:
+            with mp.workprec(300):      # rounded on construction otherwise
+                return mpf((rng.getrandbits(300) - (1 << 299), -300))
+        if rng.random() < 0.5:
+            return mpf(rng.randint(-9, 9)) / 4
+        return mpf(rng.getrandbits(160)) / 2 ** 160 - mpf(1) / 2
+    A = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(max(0, i - lower), min(n, i + upper + 1)):
+            if rng.random() < density:
+                A[i, j] = entry()
+    return A
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_log_abs_det_skips_zeros_bit_identically(seed, wide):
+    # skipping x - f*0 changes no entry, so the profile-following elimination
+    # gives the bits of the dense loop: log, sign and pivot ratio
+    import random
+
+    rng = random.Random(seed)
+    with working_dps(40):
+        for _ in range(20):
+            n = rng.randint(1, 12)
+            A = _banded(rng, n, rng.randint(0, n), rng.randint(0, n),
+                        rng.choice([0.3, 0.7, 1.0]), wide)
+            if rng.random() < 0.3:
+                # a row far down whose profile reaches back to column 0
+                i = rng.randrange(n)
+                A[i, 0] = mpf(rng.randint(1, 9))
+            det = log_abs_det(A)
+            if det[1] != 0:
+                ref = _plain_elimination(A)
+                assert (det[0], det[1], det.pivot_ratio) == (ref[0], ref[1], ref.pivot_ratio)
+
+
+def test_log_abs_det_profile_grows_on_row_swap():
+    # the pivot at step 0 is row 1, whose last column is 5; the swap brings
+    # it up, and the update of row 0 extends row 0's profile to column 5
+    with working_dps(40):
+        A = _mat([[1, 1, 0, 0, 0, 0],
+                  [3, 0, 0, 0, 0, 2],
+                  [0, 1, 2, 1, 0, 0],
+                  [0, 0, 1, 3, 1, 0],
+                  [0, 0, 0, 1, 4, 1],
+                  [0, 0, 0, 0, 1, 5]])
+        det = log_abs_det(A)
+        ref = _plain_elimination(A)
+        assert (det[0], det[1], det.pivot_ratio) == (ref[0], ref[1], ref.pivot_ratio)
+        exact = mpmath.det(A)
+        assert det[1] == mpmath.sign(exact)
+        assert abs(det[0] - mpmath.log(abs(exact))) < mpf("1e-45")
+
+
+def test_log_abs_det_singular_banded():
+    # bandwidth 2, and rows 3 and 4 are equal
+    with working_dps(40):
+        det = log_abs_det(_mat([[2, 1, 1, 0, 0, 0, 0],
+                                [1, 3, 0, 1, 0, 0, 0],
+                                [1, 0, 2, 1, 1, 0, 0],
+                                [0, 0, 3, -2, 5, 0, 0],
+                                [0, 0, 3, -2, 5, 0, 0],
+                                [0, 0, 0, 1, 1, 2, 1],
+                                [0, 0, 0, 0, 1, 1, 3]]))
+    assert det == (mpf("-inf"), 0) and det.pivot_ratio == 0
 
 
 def test_log_abs_det_pivot_ratio():

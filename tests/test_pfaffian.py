@@ -24,19 +24,46 @@ def _random_grid(L, M, seed, periodic=False, lo=5, hi=90):
 
 def test_antisymmetry_is_exact():
     grid = CouplingGrid.from_scalars(LatticeSpec(2, 2), "0.31", "0.44")
-    sys = build_A(grid)
-    A = sys.A
+    A = build_A(grid)
     with working_dps(40):    # negation must not re-round the entries
         for i in range(A.rows):
             for j in range(A.rows):
                 assert A[i, j] == -A[j, i]
 
 
+def test_site_major_band():
+    # every entry lies within 4M + 1 of the diagonal (the horizontal bond),
+    # and the matrix is exactly antisymmetric
+    grid = _random_grid(3, 4, seed=7, periodic=True)
+    A = build_A(grid)
+    M = grid.spec.M
+    width = max(abs(i - j) for i in range(A.rows) for j in range(A.cols) if A[i, j])
+    assert width == 4 * M + 1
+    with working_dps(40):
+        for i in range(A.rows):
+            for j in range(A.cols):
+                assert A[i, j] == -A[j, i]
+
+
+def test_node_order_leaves_det():
+    # det A does not depend on the node order: the block-major order
+    # b * N + site gives the same determinant to rounding
+    grid = _random_grid(3, 3, seed=11, periodic=True)
+    A = build_A(grid)
+    N = grid.spec.nsites
+    order = [4 * site + b for b in range(4) for site in range(N)]
+    with working_dps(40):
+        B = mpmath.matrix([[A[i, j] for j in order] for i in order])
+        (la, sa), (lb, sb) = log_abs_det(A), log_abs_det(B)
+        assert sa == sb == 1
+        assert abs(la - lb) < mpf("1e-45") * (1 + abs(la))
+
+
 def test_free_limit():
     grid = CouplingGrid.from_scalars(LatticeSpec(1, 2), "0", "0")
-    sys = build_A(grid)
+    A = build_A(grid)
     with working_dps(40):
-        ld, s = log_abs_det(sys.A)
+        ld, s = log_abs_det(A)
         assert s == 1 and abs(ld) < mpf("1e-38")      # det of the bare skeleton is 1
         assert abs(logZ_pfaffian(grid) - 2 * mpmath.log(2)) < mpf("1e-38")
 
@@ -72,13 +99,13 @@ def test_reduced_minor_formula_matches_dense():
     grid = _random_grid(2, 4, seed=9, periodic=True)
     with working_dps(40):
         red = ReducedCouplings.from_grid(grid)
-        sys = build_A(grid)
+        A = build_A(grid)
         N = grid.spec.nsites
-        keep = [i for i in range(4 * N) if not (3 * N <= i < 4 * N)]
+        keep = [i for i in range(4 * N) if i % 4 != 3]    # drop each site's node 3
         sub = mpmath.matrix(3 * N, 3 * N)
         for a, i in enumerate(keep):
             for b, j in enumerate(keep):
-                sub[a, b] = sys.A[i, j]
+                sub[a, b] = A[i, j]
         ld, s = log_abs_det(sub)
         lg, sf = log_det_reduced(grid, red)
         assert s == sf == 1
