@@ -1,32 +1,41 @@
-"""Ground-truth partition function by exact enumeration of all 2^(LM) states.
+"""Ground-truth partition function: an exact sum over every spin state.
 
-Two equivalent enumeration strategies share the same result contract:
+The sum is a transfer product over the 2^n states of one column of n sites:
+a bond inside a column is a diagonal factor, a bond between columns the 2x2
+butterfly v'(s) = e^K v(s) + e^(-K) v(s ^ bit).  The column runs along the
+shorter side of an open lattice (transposed when L < M, so a 1 x N chain has
+n = 1) and along the ring of a cylinder (n = M); n > MAX_COLUMN is refused
+before anything is allocated.
 
-* a vectorized bond-disagreement count (numpy) when the nonzero couplings
-  take few distinct values; the per-(L, M) disagreement histogram is exact
-  integer data and is cached, so repeated evaluations at new couplings cost
-  only a small high-precision sum;
-* a Gray-code walk with incremental energy updates for arbitrary grids.
-
-Both accumulate with a running maximum subtracted, and both are exact up to
-rounding at the working precision.
+Each bond's larger weight e^|K| is factored out, so every factor is
+w = e^(-2|K|) <= 1, one mp exp per distinct coupling.  Entries are Python
+ints with a shared binary exponent, rescaled once per column.  All weights
+are positive, so nothing cancels: each truncation costs under one unit of
+an entry of at least 2^(minbits - 1), and after S steps Z is off by a
+relative S 2^(4 - minbits) at most.  This certificate is checked on every
+call: a sum whose minbits falls short of the working precision is re-run
+wider, and one that needs more than MAX_SPREAD_BITS extra bits raises
+PrecisionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
 
-from .numerics import DomainError, working_dps
+from .lattice import PERIODIC
+from .numerics import DomainError, PrecisionError, working_dps
 
-MAX_SITES = 24
-_CHUNK = 1 << 20
+# the longest column: the sum holds 2^MAX_COLUMN entries
+MAX_COLUMN = 16
 
-# counting path only pays off while the histogram stays small
-_MAX_DISTINCT = 4
+# widest spread of one column's entries, in bits, that the sum carries
+MAX_SPREAD_BITS = 1 << 13
+
+# bits kept beyond the working precision after the error bound
+_GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -36,116 +45,95 @@ class OracleResult:
     digits: int
 
 
-def _group_key(grid):
-    """Distinct nonzero couplings and per-bond group labels, or None."""
-    bonds = grid.bonds()
-    values = []
-    labels = []
-    for i, j, K in bonds:
-        for gi, v in enumerate(values):
-            if v == K:
-                labels.append(gi)
-                break
-        else:
-            if len(values) >= _MAX_DISTINCT:
-                return None
-            values.append(K)
-            labels.append(len(values) - 1)
-    return bonds, values, labels
+def column_length(spec):
+    """Sites in one column of the sum: min(L, M) when open, M on a cylinder."""
+    return min(spec.L, spec.M) if spec.bc_vertical != PERIODIC else spec.M
 
 
-@lru_cache(maxsize=32)
-def _disagreement_histogram(nsites, bond_sig):
-    """Joint histogram of per-group bond disagreement counts over all states.
+def _transfer_sum(n, within, between, bits, weights):
+    """(Z as int, binary exponent, minbits, steps) with Z = int * 2^exponent.
 
-    bond_sig is a tuple of (site_i, site_j, group) triples.  Returns an
-    integer array of shape prod(n_g + 1) raveled over group counts.
+    weights[K] = (man, sh) is e^(-2|K|) = man / 2^sh for every coupling K.
     """
-    import numpy as np  # here, so that importing isingrect does not load numpy
-
-    ngroups = 1 + max(g for _, _, g in bond_sig)
-    sizes = [0] * ngroups
-    for _, _, g in bond_sig:
-        sizes[g] += 1
-    dims = [s + 1 for s in sizes]
-    hist = np.zeros(int(np.prod(dims)), dtype=np.int64)
-    total = 1 << nsites
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        cfg = np.arange(start, stop, dtype=np.uint64)
-        idx = np.zeros(cfg.shape, dtype=np.int64)
-        for g in range(ngroups):
-            cnt = np.zeros(cfg.shape, dtype=np.int64)
-            for i, j, gg in bond_sig:
-                if gg == g:
-                    bit = ((cfg >> np.uint64(i)) ^ (cfg >> np.uint64(j))) & np.uint64(1)
-                    cnt += bit.astype(np.int64)
-            idx = idx * dims[g] + cnt
-        hist += np.bincount(idx, minlength=hist.size)
-    return hist, tuple(dims), tuple(sizes)
-
-
-def _logZ_counting(grid, bonds, values, labels):
-    nsites = grid.spec.nsites
-    bond_sig = tuple((i, j, g) for (i, j, _), g in zip(bonds, labels))
-    hist, dims, sizes = _disagreement_histogram(nsites, bond_sig)
-    # E(counts) = sum_g K_g * (n_g - 2 c_g); disagreeing bonds flip sign
-    emax = sum(abs(v) * s for v, s in zip(values, sizes))
-    total = mpf(0)
-    for flat, n in enumerate(hist):
-        if n == 0:
-            continue
-        rest = flat
-        E = mpf(0)
-        for g in reversed(range(len(dims))):
-            c = rest % dims[g]
-            rest //= dims[g]
-            E += values[g] * (sizes[g] - 2 * c)
-        total += int(n) * mpmath.exp(E - emax)
-    return emax + mpmath.log(total)
-
-
-def _logZ_gray(grid, bonds):
-    """Gray-code enumeration; O(1) bond work per visited configuration."""
-    nsites = grid.spec.nsites
-    neighbors = [[] for _ in range(nsites)]
-    for i, j, K in bonds:
-        neighbors[i].append((j, K))
-        neighbors[j].append((i, K))
-    spins = [1] * nsites
-    E = sum(K for _, _, K in bonds)
-    emax = sum(abs(K) for _, _, K in bonds)
-    total = mpmath.exp(E - emax)
-    for step in range(1, 1 << nsites):
-        b = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit
-        dE = mpf(0)
-        for j, K in neighbors[b]:
-            dE += K * spins[j]
-        E -= 2 * spins[b] * dE
-        spins[b] = -spins[b]
-        total += mpmath.exp(E - emax)
-    return emax + mpmath.log(total)
+    size = 1 << n
+    top = size >> 1
+    v = [1 << bits] * size
+    exponent = -bits
+    minbits = bits + 1
+    steps = 0
+    parity = {}   # (row_a, row_b) -> 1 where the two spins disagree, per state
+    for c, bonds in enumerate(within):
+        if c:
+            # the rotation brings each row in turn to the top bit, and after
+            # n steps the layout is back where it started
+            for row in reversed(range(n)):
+                K = between[c][row]
+                man, sh = weights[K]
+                lo, hi = v[:top], v[top:]
+                v = [0] * size
+                a = [x + (y * man >> sh) for x, y in zip(lo, hi)]
+                b = [y + (x * man >> sh) for x, y in zip(lo, hi)]
+                v[0::2], v[1::2] = (a, b) if K > 0 else (b, a)
+                steps += 1
+        for ra, rb, K in bonds:
+            if (ra, rb) not in parity:
+                parity[ra, rb] = [(s >> ra ^ s >> rb) & 1 for s in range(size)]
+            man, sh = weights[K]
+            hit = 1 if K > 0 else 0   # penalise disagreement when ferromagnetic
+            v = [x * man >> sh if p == hit else x for x, p in zip(v, parity[ra, rb])]
+            steps += 1
+        # every truncation so far in this column, and the shift's own, cost
+        # under one unit of an entry at least this small
+        shift = max(v).bit_length() - bits - 1
+        minbits = min(minbits, min(v).bit_length() - max(shift, 0))
+        v = [x >> shift for x in v] if shift >= 0 else [x << -shift for x in v]
+        exponent += shift
+        steps += 1
+    return sum(v), exponent, minbits, steps
 
 
 def brute_force_logZ(grid, digits=40):
-    """Exact log Z by summation over every spin configuration.
+    """Exact log Z by a transfer sum over every spin configuration.
 
-    Refuses lattices with more than 24 sites; enumeration beyond that is a
-    bug, not a feature.
+    Raises DomainError past MAX_COLUMN and PrecisionError past MAX_SPREAD_BITS.
     """
-    nsites = grid.spec.nsites
-    if nsites > MAX_SITES:
+    L, M = grid.spec.L, grid.spec.M
+    n = column_length(grid.spec)
+    if n > MAX_COLUMN:
         raise DomainError(
-            f"brute force enumeration is limited to {MAX_SITES} sites, got {nsites}"
-        )
-    with working_dps(digits):
-        bonds = grid.bonds()
-        if not bonds:
-            logZ = nsites * mpmath.log(mpf(2))
+            f"brute force enumeration is limited to columns of {MAX_COLUMN} sites "
+            f"(2^{MAX_COLUMN} states), got {n} on the {L}x{M} {grid.spec.bc_vertical} lattice")
+    # within[c]: (row_a, row_b, K) for each bond inside column c;
+    # between[c][row]: the coupling to column c - 1 on that row, 0 if none
+    within = [[] for _ in range(L * M // n)]
+    between = [[0] * n for _ in within]
+    for i, j, K in grid.bonds():
+        # (column, row) is (l, m), or (m, l) when the columns run along the rows
+        (ci, ri), (cj, rj) = [divmod(x, M)[::-1] if n < M else divmod(x, M) for x in (i, j)]
+        if ci == cj:
+            within[ci].append((ri, rj, K))
         else:
-            grouped = _group_key(grid)
-            if grouped is not None:
-                logZ = _logZ_counting(grid, *grouped)
-            else:
-                logZ = _logZ_gray(grid, bonds)
-        return OracleResult(logZ=logZ, nconfig=1 << nsites, digits=digits)
+            between[max(ci, cj)][ri] = K
+    with working_dps(digits):
+        strength = [sum(abs(K) for K in row) + sum(abs(K) for _, _, K in bonds)
+                    for row, bonds in zip(between, within)]
+        floor = mp.prec + _GUARD_BITS + 4   # minbits - log2(steps) must reach this
+        need = floor + (len(within) * (2 * n + 1)).bit_length()
+        # a column's entries span at most e^(2 sum |K|) over the bonds it touches
+        bits = need + int(mpmath.ceil(2 * max(strength) / mpmath.ln2)) + 2
+        couplings = {K for row in between for K in row} | {K for bd in within for *_, K in bd}
+        while bits - need <= MAX_SPREAD_BITS:
+            with mp.workprec(bits + 10):
+                weights = {K: mpmath.exp(-2 * abs(K)) for K in couplings}
+            total, exponent, minbits, steps = _transfer_sum(
+                n, within, between, bits, {K: (w.man, -w.exp) for K, w in weights.items()})
+            deficit = floor + steps.bit_length() - minbits
+            if deficit <= 0:
+                break
+            bits += deficit
+        else:
+            raise PrecisionError(
+                f"brute force: certifying the sum needs {bits - need} bits beyond the "
+                f"working precision, over MAX_SPREAD_BITS = {MAX_SPREAD_BITS}")
+        logZ = sum(strength) + mpmath.log(mpmath.ldexp(mpf(total), exponent))
+        return OracleResult(logZ=logZ, nconfig=1 << grid.spec.nsites, digits=digits)

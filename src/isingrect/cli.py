@@ -170,7 +170,7 @@ def _sweep_point(task):
             pieces = free_energy_pieces(K, digits)
             row += [nstr(pieces.q, digits), nstr(pieces.f_b, digits),
                     nstr(pieces.f_s, digits), nstr(pieces.f_c, digits)]
-        except DomainError:
+        except (DomainError, PrecisionError):
             row += ["", "", "", ""]  # too close to critical for the products
         return row
 

@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mpf
 
 from .lattice import critical_coupling_isotropic
-from .numerics import DomainError, PrecisionError, to_mpf, tol, working_dps
+from .numerics import GUARD_DIGITS, DomainError, PrecisionError, to_mpf, tol, working_dps
 
 Q_CUTOFF = mpf("0.9")
 
@@ -159,6 +159,12 @@ def q_of_t(t, digits=40):
     DomainError.  One forward product certifies the result: a relative
     defect |t_of_q(q) - t| / t above 10^(-digits) raises PrecisionError.
     """
+    return _q_and_condition(t, digits)[0]
+
+
+def _q_and_condition(t, digits):
+    """(q_of_t(t), d log q / d log t = 2 (agm(1, k')/k')^2 (1 + t^2)/(1 - t^2)),
+    the factor that carries a rounding of t into q; it diverges at k' -> 0."""
     with working_dps(digits):
         t = to_mpf(t)
         if t <= 0:
@@ -168,7 +174,8 @@ def q_of_t(t, digits=40):
         if minus > 0:
             k = (2 * t / (1 - t * t)) ** 2
             kp = mpmath.sqrt(minus * plus * (1 + k)) / (1 - t * t)
-            q = mpmath.exp(-mpmath.pi / 2 * mpmath.agm(1, kp) / mpmath.agm(1, k))
+            agm_kp = mpmath.agm(1, kp)
+            q = mpmath.exp(-mpmath.pi / 2 * agm_kp / mpmath.agm(1, k))
         if q is None or q >= Q_CUTOFF:
             tmax = t_of_q(Q_CUTOFF, digits)
             raise DomainError(
@@ -180,7 +187,7 @@ def q_of_t(t, digits=40):
             raise PrecisionError(
                 f"q_of_t: t_of_q(q) misses t = {mpmath.nstr(t, 8)} by a relative "
                 f"{mpmath.nstr(defect, 3)}")
-        return q
+        return q, 2 * (agm_kp / kp) ** 2 * (1 + t * t) / (1 - t * t)
 
 
 @dataclass(frozen=True)
@@ -205,10 +212,12 @@ class FreeEnergyPieces:
 def free_energy_pieces(K, digits=40, apply_errata=True):
     """Free-energy pieces of the isotropic lattice at reduced coupling K.
 
-    K must be bounded away from the critical coupling so that q stays inside
-    the convergent range.  With apply_errata=False the ordered-phase corner
-    term keeps its original -log 2 constant (the value a naive finite-size
-    extraction of -log Z yields); the default removes it.
+    K must be bounded away from the critical coupling: q must stay inside
+    the convergent range (DomainError), and d log q / d log t below
+    10^GUARD_DIGITS (PrecisionError, within about 1e-14 of K_c).  With
+    apply_errata=False the ordered-phase corner term keeps its original
+    -log 2 constant (the value a naive finite-size extraction of -log Z
+    yields); the default removes it.
     """
     with working_dps(digits):
         K = to_mpf(K)
@@ -217,10 +226,14 @@ def free_energy_pieces(K, digits=40, apply_errata=True):
         z = mpmath.tanh(K)
         _, Kc = critical_coupling_isotropic()
         log2 = mpmath.log(mpf(2))
-        if K > Kc:
-            side = "below"
-            tvar = mpmath.exp(-2 * K)   # dual of z
-            q = q_of_t(tvar, digits)
+        side = "below" if K > Kc else "above"
+        # below T_c q follows the dual t = e^(-2K) of z, above it z itself
+        q, condition = _q_and_condition(mpmath.exp(-2 * K) if side == "below" else z, digits)
+        if mpmath.log10(condition) >= GUARD_DIGITS:
+            raise PrecisionError(f"free_energy_pieces: K = {mpmath.nstr(K, 8)} is too close to "
+                                 f"critical; d log q / d log t = {mpmath.nstr(condition, 3)} "
+                                 f"spends the {GUARD_DIGITS} guard digits")
+        if side == "below":
             lg_b, _ = pi_product(BULK_BELOW, q, digits)
             lg_sA, _ = pi_product(SURFACE_BELOW_MAIN, q, digits)
             lg_sB, _ = pi_product(SURFACE_BELOW_HALFQ, mpmath.sqrt(q), digits)
@@ -231,8 +244,6 @@ def free_energy_pieces(K, digits=40, apply_errata=True):
             f_s_reg = -mpmath.log(1 - z ** 2) / 2
             f_c_sing = -lg_c - (mpf(0) if apply_errata else log2)
         else:
-            side = "above"
-            q = q_of_t(z, digits)
             lg_b, _ = pi_product(BULK_ABOVE, q, digits)
             lg_s, _ = pi_product(SURFACE_ABOVE, q, digits)
             lg_c, _ = pi_product(CORNER_ABOVE, q, digits)

@@ -62,7 +62,7 @@ def check_four_paths(digits):
                         cylinder.logZ_cylinder(grid, digits)]
                 hom = HomogeneousCouplings.from_K(Kh, Kv, digits)
                 vals.append(spectral.logZ_spectral(L, M, hom.z, hom.t, digits))
-                if L * M <= brute_force.MAX_SITES:
+                if brute_force.column_length(grid.spec) <= brute_force.MAX_COLUMN:
                     vals.append(brute_force.brute_force_logZ(grid, digits).logZ)
                 spread = (max(vals) - min(vals)) / abs(vals[0])
             out.append(_result(f"fourpath-{L}x{M}-{label}", spread, tol))

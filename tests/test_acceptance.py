@@ -36,6 +36,7 @@ from isingrect import (
     z_eff,
 )
 from isingrect import qseries, thermo
+from isingrect.brute_force import MAX_COLUMN, column_length
 from isingrect.cli import main as cli_main
 from isingrect.numerics import working_dps
 from isingrect.spectral import log_strip_part
@@ -62,7 +63,7 @@ def test_criterion_1_four_path_agreement(Kc):
                 vals = [logZ_pfaffian(grid),
                         logZ_cylinder(grid),
                         logZ_spectral(L, M, hom.z, hom.t)]
-                if L * M <= 24:
+                if column_length(grid.spec) <= MAX_COLUMN:
                     vals.append(brute_force_logZ(grid).logZ)
                 worst = max(worst, (max(vals) - min(vals)) / abs(vals[0]))
     verdict("1 four-path agreement", worst <= tol,

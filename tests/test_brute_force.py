@@ -6,11 +6,39 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from isingrect.brute_force import MAX_SITES, _logZ_gray, brute_force_logZ
-from isingrect.lattice import PERIODIC, CouplingGrid, LatticeSpec
-from isingrect.numerics import DomainError, working_dps
+from isingrect import brute_force
+from isingrect.brute_force import MAX_COLUMN, MAX_SPREAD_BITS, brute_force_logZ
+from isingrect.cylinder import logZ_cylinder
+from isingrect.lattice import OPEN, PERIODIC, CouplingGrid, LatticeSpec
+from isingrect.numerics import DomainError, PrecisionError, working_dps
+from isingrect.pfaffian import logZ_pfaffian
 
 TOL = mpf("1e-38")
+
+
+def plain_logZ(grid, dps=100):
+    """log Z by a plain sum of e^E over every spin state, at dps digits."""
+    bonds = grid.bonds()
+    with mpmath.mp.workdps(dps):
+        total = mpf(0)
+        for cfg in range(1 << grid.spec.nsites):
+            E = mpf(0)
+            for i, j, K in bonds:
+                E += -K if (cfg >> i ^ cfg >> j) & 1 else K
+            total += mpmath.exp(E)
+        return mpmath.log(total)
+
+
+def drawn_grid(seed, L, M, bc, lo, hi):
+    """Per-bond couplings drawn uniformly from [lo, hi], to two decimals."""
+    rng = random.Random(seed)
+
+    def draw():
+        return mpf(rng.randint(round(100 * lo), round(100 * hi))) / 100
+
+    kh = [[draw() if l < L - 1 else 0 for _ in range(M)] for l in range(L)]
+    kv = [[draw() if m < M - 1 or bc == PERIODIC else 0 for m in range(M)] for _ in range(L)]
+    return CouplingGrid(LatticeSpec(L, M, bc), kh, kv)
 
 
 def test_single_spin():
@@ -53,12 +81,80 @@ def test_free_spins():
         assert abs(brute_force_logZ(grid).logZ - 12 * mpmath.log(2)) < TOL
 
 
-def test_counting_equals_gray():
-    grid = CouplingGrid.from_scalars(LatticeSpec(3, 3), "0.42", "0.17")
+PLAIN_CASES = [
+    # (L, M, bc, lowest, highest coupling); at most 12 sites
+    (3, 4, OPEN, 0.1, 0.9),        # L < M: the sum runs along rows
+    (4, 3, OPEN, 0.1, 0.9),        # L > M
+    (2, 5, PERIODIC, 0.1, 0.9),    # a cylinder keeps its ring as the column
+    (4, 3, PERIODIC, -0.9, 0.9),
+    (1, 12, OPEN, -1, 1),          # chains, both ways round
+    (12, 1, OPEN, -1, 1),
+    (3, 3, OPEN, -1.5, 1.5),
+    (3, 2, PERIODIC, -2, 2),       # two bonds on each pair of a two-site ring
+    (3, 1, PERIODIC, -2, 2),       # a one-site ring: each site bonds to itself
+    (3, 3, PERIODIC, -50, 50),     # strong and mixed sign
+    (2, 6, OPEN, -50, 50),
+    (4, 3, PERIODIC, -50, 50),
+]
+
+
+@pytest.mark.parametrize("L, M, bc, lo, hi", PLAIN_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[2]}-{c[3]}:{c[4]}" for c in PLAIN_CASES])
+def test_matches_plain_enumeration(L, M, bc, lo, hi):
+    grid = drawn_grid(L * 100 + M, L, M, bc, lo, hi)
     res = brute_force_logZ(grid)
+    ref = plain_logZ(grid)
     with working_dps(40):
-        gray = _logZ_gray(grid, grid.bonds())
-        assert abs(res.logZ - gray) < TOL
+        assert abs(res.logZ - ref) < TOL
+
+
+def test_certificate_widens_a_short_sum(monkeypatch):
+    # a first sum 16 bits wide leaves its smallest entries short of the
+    # precision; the certificate sees it and sums again, wider
+    grid = drawn_grid(7, 3, 3, PERIODIC, -50, 50)
+    real = brute_force._transfer_sum
+    runs = []
+
+    def narrow_first(n, within, between, bits, weight):
+        out = real(n, within, between, bits if runs else 16, weight)
+        runs.append(out[2])
+        return out
+
+    monkeypatch.setattr(brute_force, "_transfer_sum", narrow_first)
+    res = brute_force_logZ(grid)
+    assert len(runs) == 2 and runs[0] < runs[1]
+    ref = plain_logZ(grid)
+    with working_dps(40):
+        assert abs(res.logZ - ref) < TOL
+
+
+def test_certificate_ceiling_raises(monkeypatch):
+    # a sum whose smallest entry never gains bits is refused, not returned
+    real = brute_force._transfer_sum
+
+    def starved(*args):
+        total, exponent, _, steps = real(*args)
+        return total, exponent, 0, steps
+
+    monkeypatch.setattr(brute_force, "_transfer_sum", starved)
+    with pytest.raises(PrecisionError, match="MAX_SPREAD_BITS"):
+        brute_force_logZ(CouplingGrid.from_scalars(LatticeSpec(2, 2), "0.3", "0.3"))
+
+
+def test_couplings_past_the_spread_bound_raise():
+    # e^(2K) with K = 10^4 spans about 2^57700 inside one column
+    grid = CouplingGrid.from_scalars(LatticeSpec(2, 2), "1e4", "1e4")
+    with pytest.raises(PrecisionError, match=f"MAX_SPREAD_BITS = {MAX_SPREAD_BITS}"):
+        brute_force_logZ(grid)
+
+
+@pytest.mark.parametrize("L, M, bc", [(6, 6, OPEN), (6, 6, PERIODIC), (8, 8, OPEN)])
+def test_agrees_with_pfaffian_and_cylinder_past_24_sites(L, M, bc):
+    grid = drawn_grid(L * M, L, M, bc, 0.01, 2)
+    vals = [brute_force_logZ(grid).logZ, logZ_pfaffian(grid), logZ_cylinder(grid)]
+    with working_dps(40):
+        unit = mpf(10) ** (mpmath.floor(mpmath.log10(abs(vals[0]))) - 39)
+        assert max(vals) - min(vals) < unit / 2
 
 
 def test_gauge_flip_symmetry():
@@ -103,15 +199,31 @@ def test_entropy_lower_bound():
         assert abs(brute_force_logZ(free).logZ - 9 * mpmath.log(2)) < TOL
 
 
-def test_site_bound():
-    grid = CouplingGrid.from_scalars(LatticeSpec(5, 5), "0.1", "0.1")
-    with pytest.raises(DomainError, match=str(MAX_SITES)):
+@pytest.mark.parametrize("L, M, bc", [
+    (MAX_COLUMN + 1, MAX_COLUMN + 1, OPEN),
+    (2, MAX_COLUMN + 1, PERIODIC),          # a cylinder's column is its ring
+    (60, 60, OPEN),                          # 2^60 entries: must fail before allocating
+])
+def test_column_bound(L, M, bc):
+    grid = CouplingGrid.from_scalars(LatticeSpec(L, M, bc), "0.1", "0.1")
+    with pytest.raises(DomainError, match=f"columns of {MAX_COLUMN} sites"):
         brute_force_logZ(grid)
 
 
+def test_long_open_strip_runs_along_its_short_side():
+    # 2x40 open: 80 sites, but columns of 2
+    grid = CouplingGrid.from_scalars(LatticeSpec(2, 40), "0.3", "0.5")
+    with working_dps(40):
+        ref = logZ_pfaffian(grid)
+        assert abs(brute_force_logZ(grid).logZ - ref) < TOL
+
+
 def test_import_leaves_numpy_unloaded():
-    # only the counting path uses numpy; it is imported there, on first use
-    code = "import sys, isingrect; print('numpy' in sys.modules)"
+    # nothing in the package imports numpy, the oracle included
+    code = ("import sys, isingrect\n"
+            "g = isingrect.CouplingGrid.from_scalars(isingrect.LatticeSpec(4, 4), '0.3', '0.3')\n"
+            "isingrect.brute_force_logZ(g)\n"
+            "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -1,9 +1,10 @@
 import json
 
+import mpmath
 import pytest
 from mpmath import mpf
 
-from isingrect.brute_force import brute_force_logZ
+from isingrect.brute_force import MAX_COLUMN, brute_force_logZ
 
 from isingrect.cli import main
 from isingrect.lattice import CouplingGrid, LatticeSpec
@@ -29,10 +30,21 @@ def test_eval_spectral_smoke(capsys):
 
 
 def test_eval_oracle_guard(capsys):
+    n = str(MAX_COLUMN + 1)
     code, _, err = run(capsys, "eval", "--path", "oracle",
-                       "-L", "5", "-M", "5", "--Kh", "0.3", "--Kv", "0.3")
+                       "-L", n, "-M", n, "--Kh", "0.3", "--Kv", "0.3")
     assert code == 2
-    assert "24" in err
+    assert f"columns of {MAX_COLUMN} sites" in err
+
+
+def test_eval_oracle_past_24_sites(capsys):
+    code, out, _ = run(capsys, "eval", "--path", "oracle",
+                       "-L", "6", "-M", "6", "--Kh", "0.3", "--Kv", "0.45")
+    assert code == 0
+    with working_dps(40):
+        logZ = mpf(out.strip().split("\n")[1].split(",")[4])
+        direct = logZ_pfaffian(CouplingGrid.from_scalars(LatticeSpec(6, 6), "0.3", "0.45"))
+        assert abs(logZ - direct) < mpf("1e-38") * abs(direct)
 
 
 def test_eval_grid_matches_pfaffian(capsys, tmp_path):
@@ -194,6 +206,16 @@ def test_sweep_crosses_critical_coupling(capsys):
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     assert len(rows) == 3
     assert all(r[9] and r[12] for r in rows)   # q and f_c filled
+
+
+def test_sweep_blanks_q_columns_just_off_critical(capsys, Kc):
+    # within 1e-14 of K_c the q-products refuse for precision; the row stays
+    with mpmath.mp.workdps(40):
+        K = mpmath.nstr(Kc + mpf("2e-15"), 30)
+    code, out, _ = run(capsys, "sweep", "--sweep-K", f"{K}:{K}:1", "--sizes", "4")
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert row[4] and row[9:13] == ["", "", "", ""]
 
 
 def test_sweep_bad_range(capsys):

@@ -197,6 +197,29 @@ def test_critical_point_refused(Kc):
             free_energy_pieces(Kc + mpf("1e-24"))
 
 
+def _near_critical(Kc, offset):
+    with mpmath.mp.workdps(90):
+        return Kc + mpf(offset)
+
+
+@pytest.mark.parametrize("offset", ["2e-15", "-2e-15"])
+def test_near_critical_q_is_refused(Kc, offset):
+    # d log q / d log t is about 1e12 there, more than the guard digits hold;
+    # returned unchecked, f_c was off by a relative 2.8e-39 at Kc + 2e-15
+    with pytest.raises(PrecisionError, match="guard digits"):
+        free_energy_pieces(_near_critical(Kc, offset))
+
+
+@pytest.mark.parametrize("offset", ["1e-6", "-1e-6"])
+def test_near_critical_pieces_match_80_digits(Kc, offset):
+    K = _near_critical(Kc, offset)
+    got, ref = free_energy_pieces(K), free_energy_pieces(K, digits=80)
+    with working_dps(80):
+        for name in ("q", "f_b", "f_s", "f_c"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert abs(a - b) < mpf("1e-39") * abs(b), name
+
+
 def _onsager_f_b(K):
     """The lattice double integral of log[cosh^2(2K) - sinh(2K)(cos a + cos b)],
     with the inner angle integrated in closed form, at the current precision."""
