@@ -38,7 +38,7 @@ MAX_SPREAD_BITS = 1 << 13
 _GUARD_BITS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     logZ: mpf
     nconfig: int

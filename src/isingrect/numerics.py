@@ -1,4 +1,4 @@
-"""Configurable-precision arithmetic, dense determinants, and bracketed root finding.
+"""Configurable-precision arithmetic, determinants, and bracketed root finding.
 
 All heavy computation in this package runs on mpmath reals at a per-call
 precision of ``digits`` significant decimal digits (default 40, minimum 15).
@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 DEFAULT_DIGITS = 40
 MIN_DIGITS = 15
@@ -200,73 +201,100 @@ def log_abs_det(A):
     return LogDet(logdet, sign, ratio)
 
 
-def log_det_one_plus(Y):
-    """log det(1 + Y) for a square matrix Y.
+def log_det_bipartite_cauchy(c, w, gamma_hat):
+    """(log det R, d/dL log det R, min_delta, width) for R = I + C.
 
-    When n * max|Y| < 1/2, 1 + Y is strictly diagonally dominant, so
-    elimination needs no pivoting and runs on Y itself: each pivot is
-    carried as d_k = u_kk - 1 and log det(1 + Y) = sum_k log1p(d_k).  The
-    result then keeps its relative digits however small Y is; forming 1 + Y
-    would round away every digit of det(1 + Y) - 1 below 2^-prec.  Larger
-    Y goes through log_abs_det(1 + Y).
+    C is the bipartite Cauchy-like matrix C_mu,nu = w_mu / (c_mu - c_nu)
+    where mu and nu differ in parity, and 0 elsewhere, with dw_mu/dL =
+    -gamma_hat_mu w_mu.  In the spectral route det R = det(1 + Y) by
+    Sylvester's identity.  min_delta is the smallest pivot - 1 after the
+    first (which is exactly 1), and width the fraction bits F below.
+
+    After the similarity D^-1 R D with D = diag(sqrt|w|), which changes
+    neither det R nor its derivative, diag(c) R - R diag(c) = a1 b1^T +
+    a2 b2^T with a1 = sgn(w) sqrt|w| and b2 = sqrt|w| on even mu, a2 =
+    sgn(w) sqrt|w| and b1 = sqrt|w| on odd mu, and zeros elsewhere.  So
+    every off-diagonal entry is (a_i . b_j)/(c_i - c_j), and the diagonal,
+    which that form cannot give, is kept apart as delta_i = R_ii - 1.
+    Gaussian elimination in index order updates only the two generators
+    and delta, O(M) per step (Gohberg, Kailath & Olshevsky, Math. Comp. 64
+    (1995) 1557), and the L-derivative of each quantity rides along in
+    forward mode.  Everything runs on Python ints at one scale 2^F.
+
+    For the spectral route's residual determinant each leading principal
+    minor of R is 1 plus a sum of positive terms (the balanced states of
+    the effective spin model), so every pivot 1 + delta_k is >= 1 and no
+    pivoting is needed; det R - 1 is accumulated from the delta_k directly,
+    which keeps the relative digits of a tiny det R - 1.  A pivot below 1
+    by more than 2^guard units, the rounding that the guard bits allow for,
+    means that a term was not positive or that digits were lost, and raises
+    PrecisionError.  The largest pair term is at least tau = max|w_e|
+    max|w_o| / (c_max - c_min)^2, and so is det R - 1; F = prec + guard +
+    max(0, -log2 tau) resolves it to the working precision.  A c_mu >= 1,
+    as every mode constant is, is exact at that scale.
     """
-    n = Y.rows
-    V = Y.tolist()
-    if 2 * n * max(abs(x) for row in V for x in row) < 1:
-        logdet = mpf(0)
-        for k in range(n):
-            Vk = V[k]
-            logdet += mpmath.log1p(Vk[k])
-            for i in range(k + 1, n):
-                Vi = V[i]
-                f = Vi[k] / (1 + Vk[k])
-                if f:
-                    for j in range(k + 1, n):
-                        Vi[j] -= f * Vk[j]
-        return logdet
-    Z = Y.copy()
-    for i in range(n):
-        Z[i, i] += 1
-    ld, s = log_abs_det(Z)
-    if s <= 0:
-        raise ConsistencyError("det(1 + Y) is not positive")
-    return ld
+    M = len(c)
+    tau = max(map(abs, w[0::2])) * max(map(abs, w[1::2])) / (max(c) - min(c)) ** 2
+    guard = 8 + 2 * M.bit_length()     # a few units of rounding per step
+    F = mp.prec + guard + max(0, 1 - mpmath.mag(tau))
+    one = 1 << F
 
+    def fix(x):
+        return to_fixed(x._mpf_, F)
 
-def trace_solve(A, B):
-    """tr(A^(-1) B) for square n x n matrices given as lists of rows.
-
-    One LU of A with partial pivoting (ties to the lowest row index), in
-    Crout order so that each entry of L, U and the solve is one dot product,
-    rounded once by mpmath.fdot.  The row interchanges are applied to B, and
-    for each column c of X = A^(-1) B back substitution stops at X[c][c].
-    Neither input is modified.
-    """
-    n = len(A)
-    U = [row[:] for row in A]
-    R = [row[:] for row in B]
-    for k in range(n):
-        col = [U[p][k] for p in range(k)]
-        for i in range(k, n):
-            U[i][k] -= mpmath.fdot(zip(U[i], col))
-        piv = max(range(k, n), key=lambda i: abs(U[i][k]))
-        U[k], U[piv] = U[piv], U[k]
-        R[k], R[piv] = R[piv], R[k]
-        Uk = U[k]
-        for j in range(k + 1, n):
-            Uk[j] -= mpmath.fdot(zip(Uk, [U[p][j] for p in range(k)]))
-        for i in range(k + 1, n):
-            U[i][k] /= Uk[k]
-    trace = mpf(0)
-    for c in range(n):
-        z = []                      # column c of L^(-1) B
-        for k in range(n):
-            z.append(R[k][c] - mpmath.fdot(zip(U[k], z)))
-        xs = []                     # X[n-1][c], X[n-2][c], ..., X[c][c]
-        for k in reversed(range(c, n)):
-            xs.append((z[k] - mpmath.fdot(zip(U[k][k + 1:], reversed(xs)))) / U[k][k])
-        trace += xs[-1]
-    return trace
+    cs = [fix(x) for x in c]
+    root = [fix(mpmath.sqrt(abs(x))) for x in w]
+    signed = [r if x > 0 else -r for r, x in zip(root, w)]
+    odd = [i % 2 == 0 for i in range(M)]
+    a1 = [s if o else 0 for s, o in zip(signed, odd)]
+    a2 = [0 if o else s for s, o in zip(signed, odd)]
+    b1 = [0 if o else r for r, o in zip(root, odd)]
+    b2 = [r if o else 0 for r, o in zip(root, odd)]
+    # d sqrt|w_mu| / dL = -(gamma_hat_mu / 2) sqrt|w_mu|
+    half = [fix(g / 2) for g in gamma_hat]
+    da1, da2, db1, db2 = ([-(g * x >> F) for g, x in zip(half, gen)]
+                          for gen in (a1, a2, b1, b2))
+    delta, ddelta = [0] * M, [0] * M
+    for k in range(M):
+        dk, ddk = delta[k], ddelta[k]
+        if dk < -(1 << guard):
+            raise PrecisionError(
+                f"pivot {k} of the residual determinant fell below 1 by "
+                f"2^{dk.bit_length() - F}: a balanced term was not positive "
+                "or the working precision was lost")
+        piv = one + dk
+        ck = cs[k]
+        ak1, ak2, bk1, bk2 = a1[k], a2[k], b1[k], b2[k]
+        dak1, dak2, dbk1, dbk2 = da1[k], da2[k], db1[k], db2[k]
+        for i in range(k + 1, M):
+            # R_ik, R_ki from the generators, and their L-derivatives
+            den = cs[i] - ck
+            a1i, a2i, b1i, b2i = a1[i], a2[i], b1[i], b2[i]
+            rik = (a1i * bk1 + a2i * bk2) // den
+            rki = -((ak1 * b1i + ak2 * b2i) // den)
+            drik = (da1[i] * bk1 + a1i * dbk1 + da2[i] * bk2 + a2i * dbk2) // den
+            drki = -((dak1 * b1i + ak1 * db1[i] + dak2 * b2i + ak2 * db2[i]) // den)
+            # the multipliers R_ik / piv and R_ki / piv
+            l = (rik << F) // piv
+            u = (rki << F) // piv
+            dl = ((drik << F) - l * ddk) // piv
+            du = ((drki << F) - u * ddk) // piv
+            a1[i] = a1i - (l * ak1 >> F)
+            a2[i] = a2i - (l * ak2 >> F)
+            da1[i] -= (dl * ak1 + l * dak1) >> F
+            da2[i] -= (dl * ak2 + l * dak2) >> F
+            b1[i] = b1i - (u * bk1 >> F)
+            b2[i] = b2i - (u * bk2 >> F)
+            db1[i] -= (du * bk1 + u * dbk1) >> F
+            db2[i] -= (du * bk2 + u * dbk2) >> F
+            delta[i] -= l * rki >> F
+            ddelta[i] -= (dl * rki + l * drki) >> F
+    excess = 0                           # det R - 1 = prod (1 + delta_k) - 1
+    for d in delta:
+        excess += d + (excess * d >> F)
+    deriv = sum((dd << F) // (one + d) for d, dd in zip(delta, ddelta))
+    return (mpmath.log1p(mpf((excess, -F))), mpf((deriv, -F)),
+            mpf((min(delta[1:]), -F)), F)
 
 
 def bracketed_root(f, a, b, xtol, maxiter=None):

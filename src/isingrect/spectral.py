@@ -21,7 +21,13 @@ prod_mu lambda_mu = t.
 The partition function factorizes into an infinite-strip part (a closed
 per-mode product) times det(1 + Y), where Y is an (M/2) x (M/2) matrix built
 from Cauchy data over the mode constants c_mu = lambda_{mu,+}; Y carries
-every finite-aspect-ratio correction and vanishes for long strips.
+every finite-aspect-ratio correction and vanishes for long strips.  By
+Sylvester's identity det(1 + Y) = det(I + C) for the M x M bipartite
+Cauchy-like C, whose displacement diag(c) C - C diag(c) has rank 2:
+residual_system eliminates I + C on those two generators in O(M^2), on
+fixed-point Python ints, and carries the L-derivative (the strip Casimir
+force) through the same loop.  Every pivot is at least 1, which certifies
+the elimination.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from .lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, dual, log_C2, log_C3, pm
 from .numerics import (
@@ -41,7 +48,7 @@ from .numerics import (
     PrecisionError,
     bracketed_root,
     log_abs_det,
-    log_det_one_plus,
+    log_det_bipartite_cauchy,
     signed_log,
     to_mpf,
     working_dps,
@@ -397,13 +404,21 @@ def logZ_via_detM(L, M, z, t, digits=40):
 
 @dataclass
 class ResidualSystem:
-    """Cauchy data of the finite-length correction determinant.
+    """The finite-length correction det(1 + Y) at one strip length L.
 
-    Y = -Lh_e^(-L) V_e T_eo Lh_o^(-L) V_o T_oe over the even/odd mode split,
-    where (T)_{mu nu} = 1/(c_mu - c_nu), v_mu = p_mu (t z^-sigma - lam) /
-    (t z^sigma - lam), and p_mu is the regularized alternating Cauchy product.
-    A and B are the two factors with the lam_hat^(-L) decay folded in, kept
-    for the analytic L-derivative.
+    The modes split by parity: odd mu = 0, 2, ... (sigma = +1) and even
+    mu = 1, 3, ... (sigma = -1).  With w_mu = lam_hat_mu^(-L) v_mu,
+
+        Y = -A B,   A_eo = w_e / (c_e - c_o),   B_oe = w_o / (c_o - c_e),
+
+    where v_mu = p_mu (t z^-sigma - lam)/(t z^sigma - lam) and p_mu =
+    prod_{nu != mu} (c_mu - c_nu)^(-sigma_mu sigma_nu) is the regularized
+    alternating Cauchy product.  log_det = log det(1 + Y) and dlog_det, its
+    L-derivative, come from one generator elimination of the M x M I + C
+    with det(I + C) = det(1 + Y) (log_det_bipartite_cauchy), which also
+    records min_delta, the smallest pivot - 1 after the first, >= 0 in
+    exact arithmetic, and width, the fraction bits of its fixed-point
+    arithmetic.  Y is built only when read, by the dense product.
     """
 
     M: int
@@ -411,26 +426,54 @@ class ResidualSystem:
     c: list
     sigma: list
     gamma_hat: list
-    log_p: list
-    sign_p: list
     v: list
-    log_g: list
-    sign_g: list
-    log_f: list
-    sign_f: list
     log_d_oe: mpf
-    log_q_o: mpf
-    log_q_e: mpf
-    Y: mpmath.matrix
-    A: mpmath.matrix
-    B: mpmath.matrix
-    odd: list
-    even: list
+    log_det: mpf
+    dlog_det: mpf
+    min_delta: mpf
+    width: int
     digits: int
+
+    @property
+    def odd(self):
+        return list(range(0, self.M, 2))
+
+    @property
+    def even(self):
+        return list(range(1, self.M, 2))
+
+    @property
+    def Y(self):
+        """The dense (M/2) x (M/2) matrix Y = -A B; no route reads it."""
+        with working_dps(self.digits):
+            w = [mpmath.exp(-self.L * g) * v for g, v in zip(self.gamma_hat, self.v)]
+            h = self.M // 2
+            A = mpmath.matrix(h, h)
+            B = mpmath.matrix(h, h)
+            for a, e in enumerate(self.even):
+                for b, o in enumerate(self.odd):
+                    A[a, b] = w[e] / (self.c[e] - self.c[o])
+                    B[b, a] = w[o] / (self.c[o] - self.c[e])
+            return -(A * B)
+
+
+def _product(factors, scale):
+    """The product of f 2^-scale over the integers f, as an mpf: a running
+    mantissa cut back to the working precision and 8 more bits."""
+    bits = mp.prec + 8
+    man, exp = 1, 0
+    for f in factors:
+        man *= f
+        cut = man.bit_length() - bits
+        if cut > 0:
+            man >>= cut
+            exp += cut
+    return mpf((man, exp - scale * len(factors)))
 
 
 def residual_system(spectrum, L, digits=None):
-    """Assemble the residual Cauchy system at (real) strip length L >= 0."""
+    """Assemble the residual Cauchy system at (real) strip length L >= 0,
+    with log det(1 + Y) and its L-derivative."""
     digits = digits or spectrum.digits
     M, z, t = spectrum.M, spectrum.z, spectrum.t
     with working_dps(digits):
@@ -440,72 +483,47 @@ def residual_system(spectrum, L, digits=None):
         cs = spectrum.c
         sig = spectrum.sigma
         gh = spectrum.gamma_hat
-        lam = [m.lam for m in spectrum.modes]
-        deg_tol = mpf(10) ** (-mpf(digits) / 2)
-        log_p, sign_p = [], []
+        # every c_mu >= 1 has a bit at or above 2^(1 - prec), so the
+        # integers c_mu 2^prec and their differences are exact
+        prec = mp.prec
+        C = [to_fixed(x._mpf_, prec) for x in cs]
+        tol = to_fixed((mpf(10) ** (-mpf(digits) / 2))._mpf_, prec)
+        # p_mu = (product over the other parity) / (product over the same
+        # parity), with the sign of the differences that are negative
+        cross, p = [], []
         for mu in range(M):
-            lg, sn = mpf(0), 1
+            other, same, sign = [], [], 1
             for nu in range(M):
                 if nu == mu:
                     continue
-                d = cs[mu] - cs[nu]
-                if abs(d) < deg_tol:
-                    raise PrecisionError("coincident mode constants c_mu")
-                e = -sig[mu] * sig[nu]
-                lg += e * mpmath.log(abs(d))
+                d = C[mu] - C[nu]
                 if d < 0:
-                    sn = -sn
-            log_p.append(lg)
-            sign_p.append(sn)
+                    d, sign = -d, -sign
+                if d < tol:
+                    raise PrecisionError("coincident mode constants c_mu")
+                (other if (nu - mu) % 2 else same).append(d)
+            cross.append(_product(other, prec))
+            p.append(sign * cross[-1] / _product(same, prec))
         v = []
-        log_g, sign_g, log_f, sign_f = [], [], [], []
-        for mu in range(M):
+        for mu, md in enumerate(spectrum.modes):
             s = sig[mu]
-            num = t * z ** (-s) - lam[mu]
-            den = t * z ** s - lam[mu]
+            num = t * z ** (-s) - md.lam
+            den = t * z ** s - md.lam
             if den == 0:
                 raise DomainError("v_mu denominator vanished")
-            v.append(sign_p[mu] * mpmath.exp(log_p[mu]) * num / den)
-            lgg, sg = signed_log(t * z - lam[mu])
-            log_g.append(s * gh[mu] * L / 2 + lgg)     # g = -lam^(L/2) (tz - lam)
-            sign_g.append(-sg)
-            lgf, sf = signed_log(t / z - lam[mu])
-            log_f.append(-s * gh[mu] * L / 2 + lgf)    # f = lam^(-L/2) (t/z - lam)
-            sign_f.append(sf)
-        odd = list(range(0, M, 2))
-        even = list(range(1, M, 2))
-        h = M // 2
-        A = mpmath.matrix(h, h)
-        B = mpmath.matrix(h, h)
-        for a, e in enumerate(even):
-            we = mpmath.exp(-L * gh[e]) * v[e]
-            for k, o in enumerate(odd):
-                A[a, k] = we / (cs[e] - cs[o])
-        for k, o in enumerate(odd):
-            wo = mpmath.exp(-L * gh[o]) * v[o]
-            for b, e in enumerate(even):
-                B[k, b] = wo / (cs[o] - cs[e])
-        Y = -(A * B)
-        log_d_oe = mpf(0)
-        for o in odd:
-            for e in even:
-                log_d_oe += mpmath.log(abs(cs[o] - cs[e]))
-        log_q_o = sum(mpmath.log(abs(cs[odd[i]] - cs[odd[j]]))
-                      for i in range(h) for j in range(i + 1, h))
-        log_q_e = sum(mpmath.log(abs(cs[even[i]] - cs[even[j]]))
-                      for i in range(h) for j in range(i + 1, h))
+            v.append(p[mu] * num / den)
+        log_d_oe = mpmath.log(mpmath.fprod(cross[0::2]))
+        w = [mpmath.exp(-L * g) * x for g, x in zip(gh, v)]
+        log_det, dlog_det, least, width = log_det_bipartite_cauchy(cs, w, gh)
         return ResidualSystem(
-            M=M, L=L, c=cs, sigma=sig, gamma_hat=gh,
-            log_p=log_p, sign_p=sign_p, v=v,
-            log_g=log_g, sign_g=sign_g, log_f=log_f, sign_f=sign_f,
-            log_d_oe=log_d_oe, log_q_o=log_q_o, log_q_e=log_q_e,
-            Y=Y, A=A, B=B, odd=odd, even=even, digits=digits)
+            M=M, L=L, c=cs, sigma=sig, gamma_hat=gh, v=v, log_d_oe=log_d_oe,
+            log_det=log_det, dlog_det=dlog_det, min_delta=least, width=width,
+            digits=digits)
 
 
 def log_zsres(rs):
     """log det(1 + Y): the strip residual part of log Z."""
-    with working_dps(rs.digits):
-        return log_det_one_plus(rs.Y)
+    return rs.log_det
 
 
 def log_zsres_closed_L0(spectrum, digits=None):
@@ -532,6 +550,32 @@ def log_zsres_closed_L0(spectrum, digits=None):
         return lg
 
 
+def _soft_ratio(md, z, t, M):
+    """The mode ratio num/den of log_strip_part in a form that does not
+    cancel at small angle:
+
+        num/den = -s^2 / (8 t z cosh^2(gamma_hat/2) S),
+        S = sum_{j<M} (alpha f((j+1) phi) - beta f(j phi))^2,
+
+    with alpha = 1/((1 - t)(1 + z)), beta = 1/((1 + t)(1 - z)), f = sin and
+    s = sin phi on a real mode, f = sinh and s = sinh psi on the imaginary
+    one.  S is a sum of squares; each term cancels only near the psi where
+    e^psi = beta/alpha, and a sum cancelled by more than GUARD_DIGITS digits
+    raises PrecisionError.
+    """
+    alpha = 1 / ((1 - t) * (1 + z))
+    beta = 1 / ((1 + t) * (1 - z))
+    f = mpmath.sinh if md.kind == "imag" else mpmath.sin
+    vals = [f(j * md.phi) for j in range(M + 1)]
+    S = size = mpf(0)
+    for a, b in zip(vals[1:], vals):
+        S += (alpha * a - beta * b) ** 2
+        size += (alpha * abs(a) + beta * abs(b)) ** 2
+    if size > 10 ** GUARD_DIGITS * S:
+        raise PrecisionError("the soft mode's normalisation cancels in both forms")
+    return -vals[1] ** 2 / (8 * t * z * mpmath.cosh(md.gamma_hat / 2) ** 2 * S)
+
+
 def log_strip_part(spectrum, L, rs=None, digits=None):
     """log of the infinite-strip factor [C3 d_oe^2 prod_mu N_mu]^(1/2).
 
@@ -539,9 +583,10 @@ def log_strip_part(spectrum, L, rs=None, digits=None):
         N_mu = ((t+ z+ - c)^2 - t-^2 z-^2)/(M lamm_hat^2 + z+ c - t+)
                * lamm_hat / v_mu * lam_hat^L,
     with the numerator taken as -(t- z- sin phi)^2, or (t- z- sinh psi)^2 on
-    the imaginary axis.  Raises PrecisionError when the denominator cancels
-    more than GUARD_DIGITS digits, as it does near the coupling where the
-    soft mode crosses phi = 0.
+    the imaginary axis.  Near the coupling where the soft mode crosses
+    phi = 0 the denominator vanishes like phi^2; when it cancels more than
+    GUARD_DIGITS digits the soft mode's ratio comes from _soft_ratio
+    instead, and any other mode raises PrecisionError.
     Signs are tracked and the bracket is required to be positive for
     integer L (positivity of Z^2 / det(1+Y)^2).
     """
@@ -567,11 +612,15 @@ def log_strip_part(spectrum, L, rs=None, digits=None):
             parts = (M * lamm_hat ** 2, zp * md.c, -tp)
             den = sum(parts)
             # den vanishes like phi^2 where the soft mode crosses phi = 0
-            if sum(abs(p) for p in parts) > 10 ** GUARD_DIGITS * abs(den):
+            if sum(abs(p) for p in parts) <= 10 ** GUARD_DIGITS * abs(den):
+                ratio = num / den
+            elif mu == 0:
+                ratio = _soft_ratio(md, z, t, M)
+            else:
                 raise PrecisionError(
                     f"the normalisation of mode {mu} cancels more digits than "
                     "the guard holds; its angle is too close to 0")
-            term = num / den * lamm_hat / rs.v[mu]
+            term = ratio * lamm_hat / rs.v[mu]
             tl, ts = signed_log(term)
             lg += tl + L * md.gamma_hat
             sign *= ts

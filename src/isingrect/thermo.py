@@ -6,10 +6,11 @@ The residual part decays exponentially in L and carries the strip Casimir
 force
 
     force_strip = -(1/M) d/dL F_strip_res
-                = (1/M) tr[(1 + Y)^(-1) dY/dL],
+                = (1/M) sum_k (d delta_k/dL) / (1 + delta_k),
 
-where dY/dL inserts the mode decay rates into the two lam_hat^(-L) factors
-of Y.  The corner free energy is extracted from F_strip on growing squares
+where 1 + delta_k are the pivots of the generator elimination of
+det(1 + Y) (spectral.residual_system), differentiated in forward mode with
+dw_mu/dL = -gamma_hat_mu w_mu.  The corner free energy is extracted from F_strip on growing squares
 after subtracting the bulk and surface products.
 """
 
@@ -22,7 +23,7 @@ import mpmath
 from mpmath import mpf
 
 from .lattice import HomogeneousCouplings, critical_coupling_isotropic
-from .numerics import DomainError, nstr, to_mpf, trace_solve, working_dps
+from .numerics import DomainError, nstr, to_mpf, working_dps
 from .qseries import free_energy_pieces
 from .spectral import find_modes, log_strip_part, log_zsres, residual_system
 
@@ -70,24 +71,15 @@ def casimir_force_strip(L, M, Kh, Kv, digits=40, rs=None):
     """Analytic L-derivative of the strip residual free energy, per area M.
 
     L may be any positive real; the derivative acts on the lam_hat^(-L)
-    diagonals only.
+    decay of each w_mu only, and comes from the residual system's own
+    elimination.
     """
     with working_dps(digits):
         if rs is None:
             hom = HomogeneousCouplings.from_K(Kh, Kv, digits)
             spectrum = find_modes(hom.z, hom.t, M, digits)
             rs = residual_system(spectrum, L, digits)
-        Y = rs.Y.tolist()
-        one_plus = [row[:] for row in Y]
-        for i in range(M // 2):
-            one_plus[i][i] += 1
-        # dY/dL = -diag(gamma_e) Y + A diag(gamma_o) B, by row scalings
-        gB = [[rs.gamma_hat[o] * x for x in row] for o, row in zip(rs.odd, rs.B.tolist())]
-        gB_cols = list(zip(*gB))
-        dY = [[mpmath.fdot(zip(a_row, col)) - rs.gamma_hat[e] * y
-               for col, y in zip(gB_cols, y_row)]
-              for e, a_row, y_row in zip(rs.even, rs.A.tolist(), Y)]
-        return trace_solve(one_plus, dY) / M
+        return rs.dlog_det / M
 
 
 def casimir_force_fd(L, M, Kh, Kv, digits=40, dL=mpf("1e-4")):

@@ -227,3 +227,18 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_oracle_result_pickles_and_replaces():
+    import dataclasses
+    import pickle
+
+    grid = CouplingGrid.from_scalars(LatticeSpec(2, 3), "0.3", "0.4")
+    res = brute_force_logZ(grid)
+    assert not hasattr(res, "__dict__")
+    assert pickle.loads(pickle.dumps(res)) == res
+    moved = dataclasses.replace(res, logZ=res.logZ + 1)
+    assert (moved.nconfig, moved.digits) == (res.nconfig, res.digits)
+    assert moved.logZ - res.logZ == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.logZ = mpf(0)

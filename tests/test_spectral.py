@@ -7,6 +7,7 @@ from isingrect.brute_force import brute_force_logZ
 from isingrect.cylinder import logZ_cylinder
 from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, dual, pm
 from isingrect.numerics import PrecisionError, working_dps
+from isingrect import spectral
 from isingrect.pfaffian import logZ_pfaffian
 from isingrect.spectral import (
     build_T2,
@@ -385,7 +386,9 @@ def _p0(K, M):
 def test_soft_mode_near_the_axis_crossing(shift):
     # near the K where P_M(0) = 0 the soft mode passes from the real axis to
     # the imaginary one through phi = 0, and the strip factor's normalisation
-    # cancels about log10(1/phi^2) digits: refused past the guard digits
+    # cancels about log10(1/phi^2) digits; past the guard digits the soft
+    # mode takes the exact form, so only a mode that find_modes cannot tell
+    # from phi = 0 is refused
     L, M, digits = 16, 16, 40
     with working_dps(100):
         K0 = mpmath.findroot(lambda K: _p0(K, M), mpf("0.47"))
@@ -398,10 +401,31 @@ def test_soft_mode_near_the_axis_crossing(shift):
         try:
             got = logZ_spectral(L, M, hom.z, hom.t, digits)
         except PrecisionError:
-            assert abs(mpf(shift)) < mpf("1e-20")
+            assert abs(mpf(shift)) < mpf("1e-40")
             return
     with working_dps(60):
         assert abs(got - ref) < mpf(10) ** (2 - digits) * abs(ref)
+
+
+@pytest.mark.parametrize("shift", ["-1e-12", "1e-12"])
+def test_soft_mode_crossing_takes_the_exact_form(shift, monkeypatch):
+    # at K_x +- 1e-12, where P_16(0) = 0 at K_x = 0.45581351870395112793...,
+    # the direct normalisation of the soft mode cancels about 12 digits,
+    # more than the guard holds; the exact form keeps every printed digit
+    L, M, digits = 8, 16, 40
+    with working_dps(100):
+        K = mpmath.findroot(lambda K: _p0(K, M), mpf("0.4558")) + mpf(shift)
+    with working_dps(60):
+        ref = logZ_pfaffian(CouplingGrid.from_scalars(LatticeSpec(L, M), K, K), 60)
+    calls = []
+    exact = spectral._soft_ratio
+    monkeypatch.setattr(spectral, "_soft_ratio", lambda *a: calls.append(a) or exact(*a))
+    with working_dps(digits):
+        hom = HomogeneousCouplings.from_K(K, K, digits)
+        got = logZ_spectral(L, M, hom.z, hom.t, digits)
+    assert len(calls) == 1
+    with working_dps(60):
+        assert abs(got - ref) <= mpf(10) ** -digits * abs(ref)
 
 
 @pytest.mark.parametrize("K", ["5", "11", "20"])

@@ -4,8 +4,8 @@ from mpmath import mpf
 
 from isingrect.brute_force import brute_force_logZ
 from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec
-from isingrect.numerics import DomainError, working_dps
-from isingrect.spectral import find_modes, log_zsres, residual_system
+from isingrect.numerics import DomainError, log_abs_det, working_dps
+from isingrect.spectral import find_modes, residual_system
 from isingrect.thermo import (
     CSV_COLUMNS,
     casimir_force_fd,
@@ -45,11 +45,26 @@ def test_casimir_analytic_vs_fd(K, M, L, Kc):
         assert abs(an - fd2) < mpf("1e-20") * abs(an)
 
 
+def _cauchy_factors(rs):
+    """A_eo = w_e/(c_e - c_o) and B_oe = w_o/(c_o - c_e), w = lam_hat^-L v,
+    so that Y = -A B."""
+    w = [mpmath.exp(-rs.L * g) * v for g, v in zip(rs.gamma_hat, rs.v)]
+    h = rs.M // 2
+    A, B = mpmath.matrix(h, h), mpmath.matrix(h, h)
+    for a, e in enumerate(rs.even):
+        for b, o in enumerate(rs.odd):
+            A[a, b] = w[e] / (rs.c[e] - rs.c[o])
+            B[b, a] = w[o] / (rs.c[o] - rs.c[e])
+    return A, B
+
+
 def _casimir_explicit_inverse(rs, M):
     """tr[(1 + Y)^(-1) dY] / M with dense diagonal factors and an explicit
     inverse: the reference for casimir_force_strip."""
     h = M // 2
-    one_plus = rs.Y.copy()
+    A, B = _cauchy_factors(rs)
+    Y = -(A * B)
+    one_plus = Y.copy()
     for i in range(h):
         one_plus[i, i] += 1
     Ge = mpmath.matrix(h, h)
@@ -58,7 +73,7 @@ def _casimir_explicit_inverse(rs, M):
         Ge[i, i] = rs.gamma_hat[e]
     for i, o in enumerate(rs.odd):
         Go[i, i] = rs.gamma_hat[o]
-    dY = -Ge * rs.Y + rs.A * (Go * rs.B)
+    dY = -Ge * Y + A * (Go * B)
     X = one_plus ** -1 * dY
     return sum(X[i, i] for i in range(h)) / M
 
@@ -81,9 +96,11 @@ def test_casimir_matches_explicit_inverse(L, M, K):
 @pytest.mark.parametrize("L", [8, 16, 20, 48, 64])
 def test_strip_residual_keeps_relative_digits(L):
     # det(1 + Y) - 1 runs from 4e-12 (L = 8) to 2e-73 (L = 64): forming 1 + Y
-    # at 50 working digits loses from 11 digits of F_strip_res to all of them
+    # at 50 working digits loses from 11 digits of F_strip_res to all of them,
+    # and at 170 digits keeps at least 97 of them
     with working_dps(160):
-        ref = -log_zsres(_residual_system(L, 16, "0.2", 160))
+        rs = _residual_system(L, 16, "0.2", 160)
+        ref = -log_abs_det(mpmath.eye(8) + rs.Y)[0]
     with working_dps(40):
         rep = report(L, 16, "0.2", "0.2")
     with working_dps(160):
