@@ -16,20 +16,12 @@ from .lattice import (
     HomogeneousCouplings,
     LatticeSpec,
     ReducedCouplings,
-    constants,
     critical_coupling_isotropic,
     dual,
     pm,
 )
-from .numerics import (
-    ConsistencyError,
-    DomainError,
-    PrecisionError,
-    bracketed_root,
-    log_abs_det,
-    set_precision,
-)
-from .pfaffian import build_A, logZ_pfaffian, schur_check
+from .numerics import ConsistencyError, DomainError, PrecisionError
+from .pfaffian import build_A, logZ_pfaffian
 from .qseries import (
     FreeEnergyPieces,
     PeriodicCoeffMatrix,
@@ -42,15 +34,10 @@ from .spectral import (
     Mode,
     ResidualSystem,
     Spectrum,
-    T2System,
-    build_T2,
     char_poly,
-    eigvec_matrix,
     find_modes,
     log_zsres,
-    log_zsres_closed_L0,
     logZ_spectral,
-    logZ_via_detM,
     residual_system,
 )
 from .thermo import (
@@ -63,4 +50,19 @@ from .thermo import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # the four routes, and the steps that carry their own tests and timings
+    "brute_force_logZ", "logZ_pfaffian", "build_A", "logZ_cylinder", "build_factors",
+    "logZ_spectral", "find_modes", "char_poly", "residual_system", "log_zsres",
+    # types
+    "LatticeSpec", "CouplingGrid", "ReducedCouplings", "HomogeneousCouplings",
+    "OracleResult", "Mode", "Spectrum", "ResidualSystem", "EffModel",
+    "PeriodicCoeffMatrix", "FreeEnergyPieces", "ThermoReport", "CornerExtraction",
+    # errors
+    "DomainError", "PrecisionError", "ConsistencyError",
+    # coupling maps
+    "pm", "dual", "critical_coupling_isotropic",
+    # the thermodynamic layer
+    "report", "casimir_force_strip", "extract_corner", "build_eff_model", "z_eff",
+    "magnetization_eff", "free_energy_pieces", "pi_product", "q_of_t", "t_of_q",
+]

@@ -11,18 +11,12 @@ import csv
 import io
 import json
 import sys
-from multiprocessing import Pool
 
 import mpmath
 from mpmath import mpf
 
 from . import brute_force, cylinder, pfaffian, thermo, validate
-from .lattice import (
-    PERIODIC,
-    CouplingGrid,
-    LatticeSpec,
-    homogeneous_from_grid,
-)
+from .lattice import OPEN, PERIODIC, CouplingGrid, HomogeneousCouplings, LatticeSpec
 from .numerics import DomainError, PrecisionError, nstr, working_dps
 from .qseries import free_energy_pieces
 
@@ -64,7 +58,6 @@ def _parse_args(argv):
     sw.add_argument("--sizes", type=str, required=True,
                     help="comma list of square sizes L = M")
     sw.add_argument("--digits", type=int, default=40)
-    sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--out", type=str)
     sw.add_argument("--json", action="store_true")
     return top.parse_args(argv)
@@ -94,6 +87,14 @@ def _scalar_couplings(grid):
     if len(khs) == 1 and len(kvs) == 1:
         return khs.pop(), kvs.pop()
     return None, None   # per-bond grid; scalar columns stay blank
+
+
+def homogeneous_from_grid(grid, digits=40):
+    """HomogeneousCouplings if the grid is open, homogeneous, and ferromagnetic."""
+    Kh, Kv = _scalar_couplings(grid)
+    if grid.spec.bc_vertical != OPEN or Kh is None or Kh <= 0 or Kv <= 0:
+        return None
+    return HomogeneousCouplings.from_K(Kh, Kv, digits)
 
 
 def _eval_row(grid, path, digits):
@@ -160,8 +161,7 @@ def cmd_validate(args):
     return EXIT_OK if failed == 0 else EXIT_PRECISION
 
 
-def _sweep_point(task):
-    K_str, size, digits = task
+def _sweep_point(K_str, size, digits):
     with working_dps(digits):
         K = mpf(K_str)
         rep = thermo.report(size, size, K, K, digits)
@@ -190,14 +190,10 @@ def cmd_sweep(args):
             raise DomainError(f"--sizes expects integers, got {args.sizes!r}") from exc
         if not sizes:
             raise DomainError("--sizes must list at least one size")
-        Ks = [a + (b - a) * k / max(n - 1, 1) for k in range(n)]
-        tasks = [(mpmath.nstr(K, args.digits + 5), s, args.digits)
-                 for K in Ks for s in sizes]
-    if args.workers > 1:
-        with Pool(args.workers) as pool:
-            rows = pool.map(_sweep_point, tasks)
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+        # each row is computed from the coupling's (digits + 5)-digit decimal
+        Ks = [mpmath.nstr(a + (b - a) * k / max(n - 1, 1), args.digits + 5)
+              for k in range(n)]
+    rows = [_sweep_point(K, s, args.digits) for K in Ks for s in sizes]
     _emit(rows, SWEEP_COLUMNS, args.out, args.json)
     return EXIT_OK
 

@@ -14,16 +14,9 @@ import csv
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .numerics import (
-    ConsistencyError,
-    DomainError,
-    PrecisionError,
-    signed_log,
-    to_mpf,
-    working_dps,
-)
+from .numerics import DomainError, PrecisionError, to_mpf, working_dps
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -246,28 +239,6 @@ def log_C0(grid):
     return total
 
 
-def log_C1(grid):
-    """(log|C1|, sign): C1 = prod_{ell<L} z_h * prod (1 - zv^2).
-
-    Each 1 - zv^2 = 1/cosh^2 Kv is taken as -2 log cosh Kv, which keeps its
-    digits where zv = tanh Kv rounds to 1.
-    """
-    red = ReducedCouplings.from_grid(grid)
-    L, M = grid.spec.L, grid.spec.M
-    total, sign = mpf(0), 1
-    for l in range(L - 1):
-        for m in range(M):
-            lg, s = signed_log(red.z[l][m])
-            if s == 0:
-                raise DomainError("C1 requires nonzero horizontal couplings for ell < L")
-            total += lg
-            sign *= s
-    for l in range(L):
-        for m in range(M):
-            total -= 2 * mpmath.log(mpmath.cosh(grid.Kv[l][m]))
-    return total, sign
-
-
 def log_C2_dagger(grid):
     """(log|C2t|, sign): C2t = C0 C1 = 2^((L+1)M) prod_{ell<L} 1/z_minus.
 
@@ -293,19 +264,6 @@ def log_C2_dagger(grid):
     return total, sign
 
 
-def log_C2(grid):
-    """(log|C2|, sign) with C2 = z^M C2t for a homogeneous-z grid."""
-    red = ReducedCouplings.from_grid(grid)
-    L, M = grid.spec.L, grid.spec.M
-    lg, s = log_C2_dagger(grid)
-    for m in range(M):
-        z = red.z[0][m] if L > 1 else mpf(1)
-        zlg, zs = signed_log(z)
-        lg += zlg
-        s *= zs
-    return lg, s
-
-
 def log_C3(hom, L, M):
     """(log|C3|, sign) of C3 = z^M (2/z_minus)^(LM) (2/(t_minus z_minus))^(M^2/2).
 
@@ -320,53 +278,3 @@ def log_C3(hom, L, M):
     if zm < 0 and (L * M) % 2 == 1:
         sign = -1
     return lg, sign
-
-
-def constants(grid, digits=40):
-    """All global constants applicable to this grid, as log-values.
-
-    Returns a dict with log_C0 always, log_C1/log_C2_dagger/log_C2 when the
-    interior horizontal couplings are nonzero (they carry reciprocals), and
-    log_C3 when the grid is homogeneous with z and t inside (0, 1) at the
-    working precision.  The identity C2t = C0 C1 is verified whenever both
-    sides exist.
-    """
-    with working_dps(digits):
-        out = {"log_C0": log_C0(grid), "digits": digits}
-        try:
-            lc1, s1 = log_C1(grid)
-            lc2d, s2d = log_C2_dagger(grid)
-        except DomainError:
-            return out
-        out.update(log_C1=lc1, sign_C1=s1, log_C2_dagger=lc2d, sign_C2_dagger=s2d)
-        # C2t = C0*C1 must hold exactly up to rounding
-        defect = abs(out["log_C0"] + lc1 - lc2d)
-        if defect > mpf(10) ** (-mp.dps + 10) * (1 + abs(lc2d)) or s1 != s2d:
-            raise ConsistencyError(f"constant identity C2t = C0 C1 violated by {defect}")
-        lc2, s2 = log_C2(grid)
-        out["log_C2"] = lc2
-        out["sign_C2"] = s2
-        try:
-            hom = homogeneous_from_grid(grid, digits)
-        except PrecisionError:      # z or t rounds to 1 or 0: C3 has no digits
-            hom = None
-        if hom is not None:
-            lc3, s3 = log_C3(hom, grid.spec.L, grid.spec.M)
-            out["log_C3"] = lc3
-            out["sign_C3"] = s3
-        return out
-
-
-def homogeneous_from_grid(grid, digits=40):
-    """HomogeneousCouplings if the grid is open, homogeneous, and ferromagnetic."""
-    L, M = grid.spec.L, grid.spec.M
-    if grid.spec.bc_vertical != OPEN:
-        return None
-    khs = {grid.Kh[l][m] for l in range(L - 1) for m in range(M)}
-    kvs = {grid.Kv[l][m] for l in range(L) for m in range(M - 1)}
-    if len(khs) != 1 or len(kvs) != 1:
-        return None
-    Kh, Kv = khs.pop(), kvs.pop()
-    if Kh <= 0 or Kv <= 0:
-        return None
-    return HomogeneousCouplings.from_K(Kh, Kv, digits)

@@ -15,7 +15,6 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
-DEFAULT_DIGITS = 40
 MIN_DIGITS = 15
 
 # internal guard digits on top of the user-visible precision; ten digits keep
@@ -72,13 +71,6 @@ def to_mpf(x):
         return mpf(x)
     except ValueError as exc:
         raise DomainError(f"not a number: {x!r}") from exc
-
-
-def eye(n):
-    A = mpmath.matrix(n, n)
-    for i in range(n):
-        A[i, i] = 1
-    return A
 
 
 class LogDet(tuple):

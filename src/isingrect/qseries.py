@@ -87,18 +87,14 @@ SURFACE_BELOW_HALFQ = _cm([0, F(-1, 2), 0, F(1, 2), 0, F(1, 2), 0, F(-1, 2)],
 CORNER_BELOW = _cm([0, -2, 3, -2, -1, -2, 3, -2],
                    [0, -2, F(1, 2), 2, 0, -2, F(-1, 2), 2])
 
-# paramagnetic phase; the bulk and corner tables have equivalent period-4 /
-# squared-argument rewrites kept for cross-checks
+# paramagnetic phase; the validation battery checks the bulk and corner
+# tables against equivalent period-4 / squared-argument rewrites
 BULK_ABOVE = _cm([0, 2, -4, 2, 0, 2, -4, 2],
                  [0, -1, 0, 1, 0, -1, 0, 1])
-BULK_ABOVE_P4 = _cm([0, 2, -4, 2],
-                    [0, -1, 0, 1])
 SURFACE_ABOVE = _cm([0, F(1, 4), 1, F(-1, 4), -2, F(-1, 4), 1, F(1, 4)],
                     [0, F(-1, 4), 0, F(-1, 4), 0, F(1, 4), 0, F(1, 4)])
 CORNER_ABOVE = _cm([0, 0, 0, 0, -3, 0, 0, 0],
                    [0, 0, F(-1, 2), 0, 0, 0, F(1, 2), 0])
-CORNER_ABOVE_QSQ = _cm([0, 0, -3, 0],
-                       [0, -1, 0, 1])
 
 
 def _frac_to_mpf(fr):

@@ -40,14 +40,13 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
-from .lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, dual, log_C2, log_C3, pm
+from .lattice import HomogeneousCouplings, log_C3, pm
 from .numerics import (
     GUARD_DIGITS,
     ConsistencyError,
     DomainError,
     PrecisionError,
     bracketed_root,
-    log_abs_det,
     log_det_bipartite_cauchy,
     signed_log,
     to_mpf,
@@ -277,131 +276,6 @@ def find_modes(z, t, M, digits=40):
         return Spectrum(M=M, z=z, t=t, modes=tuple(out), digits=digits)
 
 
-def build_T2(z, t, M, digits=40):
-    """Symmetric 2M x 2M block transfer matrix and its two M x M blocks."""
-    with working_dps(digits):
-        z, t = to_mpf(z), to_mpf(t)
-        zp, zm = pm(z)
-        tp, tm = pm(t)
-        a = tp * zp
-        b = -tp * zm
-        a0p = tp * zp + (1 - tp) * (zp + 1) / 2
-        a0m = tp * zp + (1 - tp) * (zp - 1) / 2
-        b0 = -(1 + tp) * zm / 2
-        c = -tm * zm / 2
-        d_plus = tm * (1 + zp) / 2
-        d_minus = -tm * (1 - zp) / 2
-        Tplus = mpmath.matrix(M, M)
-        for i in range(M):
-            Tplus[i, i] = a
-            if i + 1 < M:
-                Tplus[i, i + 1] = c
-                Tplus[i + 1, i] = c
-        Tplus[0, 0] = a0p
-        Tplus[M - 1, M - 1] = a0m
-        Tminus = mpmath.matrix(M, M)
-        for i in range(M):
-            Tminus[i, M - 1 - i] = b          # anti-diagonal
-            if 0 <= M - 2 - i < M:
-                Tminus[i, M - 2 - i] = d_minus
-            if 0 <= M - i < M:
-                Tminus[i, M - i] = d_plus
-        Tminus[0, M - 1] = b0
-        Tminus[M - 1, 0] = b0
-        T2 = mpmath.matrix(2 * M, 2 * M)
-        for i in range(M):
-            for j in range(M):
-                T2[i, j] = Tplus[i, j]
-                T2[M + i, M + j] = Tplus[i, j]
-                T2[i, M + j] = Tminus[i, j]
-                T2[M + i, j] = Tminus[i, j]
-        return T2System(T2=T2, T_plus=Tplus, T_minus=Tminus, digits=digits)
-
-
-@dataclass
-class T2System:
-    T2: mpmath.matrix
-    T_plus: mpmath.matrix
-    T_minus: mpmath.matrix
-    digits: int
-
-
-def eigvec_matrix(spectrum, digits=None):
-    """Orthonormal M x M eigenvector matrix x; rows are modes, columns the
-    odd positions m = -M+1, -M+3, ..., M-1.
-
-    The below-critical mode is evaluated on the imaginary axis; its row comes
-    out real because the normalization radicand changes sign along with the
-    squared trigonometric factors.
-    """
-    digits = digits or spectrum.digits
-    M, z, t = spectrum.M, spectrum.z, spectrum.t
-    with working_dps(digits):
-        zp, zm = pm(z)
-        tp, tm = pm(t)
-        X = mpmath.matrix(M, M)
-        imag_tol = mpf(10) ** (-mp.dps + 10)
-        for mu, md in enumerate(spectrum.modes):
-            gam = md.sigma * md.gamma_hat
-            lamp = mpmath.cosh(gam)
-            lamm = mpmath.sinh(gam)
-            phi = md.phi_signed
-            rad = M * lamm ** 2 + zp * lamp - tp
-            if rad == 0 or lamp == 1:
-                raise PrecisionError("degenerate eigenvector normalization")
-            pref = mpmath.sqrt(4 * t * z) * tm * zm * lamm / (
-                mpmath.sqrt(mpc(rad)) * mpmath.sqrt(mpc(lamp - 1)))
-            for j in range(M):
-                m = 2 * j - M + 1
-                val = pref * (mpmath.sin((M + 1 + m) * phi / 2) / ((1 - t) * (1 + z))
-                              - mpmath.sin((M - 1 + m) * phi / 2) / ((1 + t) * (1 - z)))
-                val = mpc(val)
-                if abs(val.imag) > imag_tol * (1 + abs(val.real)):
-                    raise ConsistencyError("eigenvector entry has a nonreal part")
-                X[mu, j] = val.real
-        return X
-
-
-def logZ_via_detM(L, M, z, t, digits=40):
-    """Validation route: Z = sqrt(C2) |det Mx| from the eigenvector matrix.
-
-    The matrix mixes lambda^(L/2) with lambda^(-L/2), so the usable range is
-    limited by cancellation: requires L * max(gamma_hat) <= digits*ln(10)/2.
-    """
-    with working_dps(digits) as wdps:
-        z, t = to_mpf(z), to_mpf(t)
-        spectrum = find_modes(z, t, M, digits)
-        Lm = to_mpf(L)
-        guard = mpf(digits) * mpmath.log(mpf(10)) / 2
-        worst = Lm * max(spectrum.gamma_hat)
-        if worst > guard:
-            raise PrecisionError(
-                f"L*max(gamma_hat) = {mpmath.nstr(worst, 6)} exceeds the "
-                f"cancellation guard {mpmath.nstr(guard, 6)}; "
-                "use the factorized spectral route instead"
-            )
-        X = eigvec_matrix(spectrum, digits)
-        Mx = mpmath.matrix(M, M)
-        for mu, md in enumerate(spectrum.modes):
-            gam = md.sigma * md.gamma_hat
-            lp = mpmath.exp(gam * Lm / 2)
-            lm = 1 / lp
-            for j in range(M):
-                Mx[mu, j] = (lp + lm) / 2 * X[mu, j] + (lp - lm) / 2 * X[mu, M - 1 - j]
-        ld, s = log_abs_det(Mx)
-        if s == 0:
-            raise ConsistencyError("det Mx vanished")
-        if Lm != int(Lm) or int(Lm) < 1:
-            raise DomainError("the det-Mx route needs integer L >= 1")
-        # homogeneous open grid on the fly for the constant C2
-        grid = CouplingGrid.from_scalars(
-            LatticeSpec(int(Lm), M), mpmath.atanh(z), mpmath.atanh(dual(t)))
-        lc2, s2 = log_C2(grid)
-        if s2 <= 0:
-            raise ConsistencyError("C2 came out nonpositive")
-        return lc2 / 2 + ld
-
-
 @dataclass
 class ResidualSystem:
     """The finite-length correction det(1 + Y) at one strip length L.
@@ -524,30 +398,6 @@ def residual_system(spectrum, L, digits=None):
 def log_zsres(rs):
     """log det(1 + Y): the strip residual part of log Z."""
     return rs.log_det
-
-
-def log_zsres_closed_L0(spectrum, digits=None):
-    """Closed product for det(1 + Y) at L = 0; the overall sign is fixed
-    positive (it depends only on index bookkeeping)."""
-    digits = digits or spectrum.digits
-    M, z, t = spectrum.M, spectrum.z, spectrum.t
-    with working_dps(digits):
-        lam = [m.lam for m in spectrum.modes]
-        sig = spectrum.sigma
-        zm = pm(z)[1]
-        odd = list(range(0, M, 2))
-        even = list(range(1, M, 2))
-        lg = (M // 2) * mpmath.log(abs(2 * t * zm))
-        for o in odd:
-            for e in even:
-                lg += mpmath.log(abs(lam[o] - lam[e]))
-        for mu in range(M):
-            lg -= mpmath.log(abs(t * z ** sig[mu] - lam[mu]))
-        for group in (odd, even):
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    lg -= mpmath.log(abs(1 - lam[group[i]] * lam[group[j]]))
-        return lg
 
 
 def _soft_ratio(md, z, t, M):

@@ -16,7 +16,6 @@ after subtracting the bulk and surface products.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import mpmath
@@ -45,9 +44,9 @@ class ThermoReport:
     digits: int = 40
 
     def csv_row(self):
-        vals = [self.Kh, self.Kv, mpf(self.L), mpf(self.M), self.logZ, self.F,
-                self.F_strip, self.F_strip_res, self.casimir_strip]
-        return [nstr(v, self.digits) for v in vals]
+        """The fields named in CSV_COLUMNS, in that order, at `digits`."""
+        vals = [getattr(self, name) for name in CSV_COLUMNS]
+        return [nstr(v if isinstance(v, mpf) else mpf(v), self.digits) for v in vals]
 
 
 def report(L, M, Kh, Kv, digits=40):
@@ -80,16 +79,6 @@ def casimir_force_strip(L, M, Kh, Kv, digits=40, rs=None):
             spectrum = find_modes(hom.z, hom.t, M, digits)
             rs = residual_system(spectrum, L, digits)
         return rs.dlog_det / M
-
-
-def casimir_force_fd(L, M, Kh, Kv, digits=40, dL=mpf("1e-4")):
-    """Central finite difference in L of -log det(1 + Y), per area M."""
-    with working_dps(digits):
-        hom = HomogeneousCouplings.from_K(Kh, Kv, digits)
-        spectrum = find_modes(hom.z, hom.t, M, digits)
-        lo = log_zsres(residual_system(spectrum, to_mpf(L) - dL, digits))
-        hi = log_zsres(residual_system(spectrum, to_mpf(L) + dL, digits))
-        return (hi - lo) / (2 * dL) / M
 
 
 @dataclass(frozen=True)
@@ -144,12 +133,3 @@ def extract_corner(K, sizes, digits=40, apply_errata=True):
             fc = fc + mpmath.log(mpf(2))  # remove the two-phase constant
         return CornerExtraction(f_c=fc, residual=residual, monotone=monotone,
                                 sizes=tuple(sizes), digits=digits)
-
-
-def write_csv(path, reports):
-    """ThermoReport rows as CSV (full working precision, plain decimal)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in reports:
-            w.writerow(r.csv_row())

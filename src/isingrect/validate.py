@@ -1,7 +1,13 @@
 """Cross-path and identity validation battery behind `isingrect validate`.
 
-Each check computes a defect and compares it against its tolerance.  Two
-tolerance families coexist:
+Each check computes a defect and compares it against its tolerance.  The
+second formulas that only these checks need live here, not in the route
+modules: the dense 2M x 2M transfer matrix (build_T2, whose spectrum must
+be the modes' lambda^(+-1)), the closed L = 0 product of det(1 + Y)
+(log_zsres_closed_L0), the finite-difference Casimir force
+(casimir_force_fd), and the period-4 and squared-argument rewrites of the
+paramagnetic bulk and corner product tables (BULK_ABOVE_P4,
+CORNER_ABOVE_QSQ).  Two tolerance families coexist:
 
 * relative cross-path comparisons scale with the requested precision
   (the 10^(k - digits) family);
@@ -24,8 +30,17 @@ from .lattice import (
     HomogeneousCouplings,
     LatticeSpec,
     critical_coupling_isotropic,
+    pm,
 )
-from .numerics import tol, working_dps
+from .numerics import DomainError, to_mpf, tol, working_dps
+from .qseries import PeriodicCoeffMatrix
+
+# equivalent forms of qseries.BULK_ABOVE at q and of qseries.CORNER_ABOVE
+# at q^2
+BULK_ABOVE_P4 = PeriodicCoeffMatrix(((0, 2, -4, 2),
+                                     (0, -1, 0, 1)))
+CORNER_ABOVE_QSQ = PeriodicCoeffMatrix(((0, 0, -3, 0),
+                                        (0, -1, 0, 1)))
 
 
 @dataclass
@@ -84,6 +99,55 @@ def check_four_paths(digits):
     return out
 
 
+@dataclass
+class T2System:
+    T2: mpmath.matrix
+    T_plus: mpmath.matrix
+    T_minus: mpmath.matrix
+    digits: int
+
+
+def build_T2(z, t, M, digits=40):
+    """Symmetric 2M x 2M block transfer matrix and its two M x M blocks."""
+    with working_dps(digits):
+        z, t = to_mpf(z), to_mpf(t)
+        zp, zm = pm(z)
+        tp, tm = pm(t)
+        a = tp * zp
+        b = -tp * zm
+        a0p = tp * zp + (1 - tp) * (zp + 1) / 2
+        a0m = tp * zp + (1 - tp) * (zp - 1) / 2
+        b0 = -(1 + tp) * zm / 2
+        c = -tm * zm / 2
+        d_plus = tm * (1 + zp) / 2
+        d_minus = -tm * (1 - zp) / 2
+        Tplus = mpmath.matrix(M, M)
+        for i in range(M):
+            Tplus[i, i] = a
+            if i + 1 < M:
+                Tplus[i, i + 1] = c
+                Tplus[i + 1, i] = c
+        Tplus[0, 0] = a0p
+        Tplus[M - 1, M - 1] = a0m
+        Tminus = mpmath.matrix(M, M)
+        for i in range(M):
+            Tminus[i, M - 1 - i] = b          # anti-diagonal
+            if 0 <= M - 2 - i < M:
+                Tminus[i, M - 2 - i] = d_minus
+            if 0 <= M - i < M:
+                Tminus[i, M - i] = d_plus
+        Tminus[0, M - 1] = b0
+        Tminus[M - 1, 0] = b0
+        T2 = mpmath.matrix(2 * M, 2 * M)
+        for i in range(M):
+            for j in range(M):
+                T2[i, j] = Tplus[i, j]
+                T2[M + i, M + j] = Tplus[i, j]
+                T2[i, M + j] = Tminus[i, j]
+                T2[M + i, j] = Tminus[i, j]
+        return T2System(T2=T2, T_plus=Tplus, T_minus=Tminus, digits=digits)
+
+
 def check_spectral_identities(digits, M_list=(4, 6, 8, 16, 32)):
     """Mode residuals, the sin(M phi)/sin(phi) identity, prod lambda = t,
     and the dense transfer-matrix eigenvalue multiset."""
@@ -115,13 +179,37 @@ def check_spectral_identities(digits, M_list=(4, 6, 8, 16, 32)):
             out.append(_result(f"prodlambda-M{M}-{label}", prodlam, mpf(10) ** -30))
             if M <= 8:
                 with working_dps(digits):
-                    t2 = spectral.build_T2(hom.z, hom.t, M, digits)
+                    t2 = build_T2(hom.z, hom.t, M, digits)
                     eigs = sorted(mp.eigsy(t2.T2, eigvals_only=True))
                     lams = sorted([m.lam for m in sp.modes]
                                   + [1 / m.lam for m in sp.modes])
                     dm = max(abs(a - b) for a, b in zip(lams, eigs))
                 out.append(_result(f"t2-multiset-M{M}-{label}", dm, mpf(10) ** -25))
     return out
+
+
+def log_zsres_closed_L0(spectrum, digits=None):
+    """Closed product for det(1 + Y) at L = 0; the overall sign is fixed
+    positive (it depends only on index bookkeeping)."""
+    digits = digits or spectrum.digits
+    M, z, t = spectrum.M, spectrum.z, spectrum.t
+    with working_dps(digits):
+        lam = [m.lam for m in spectrum.modes]
+        sig = spectrum.sigma
+        zm = pm(z)[1]
+        odd = list(range(0, M, 2))
+        even = list(range(1, M, 2))
+        lg = (M // 2) * mpmath.log(abs(2 * t * zm))
+        for o in odd:
+            for e in even:
+                lg += mpmath.log(abs(lam[o] - lam[e]))
+        for mu in range(M):
+            lg -= mpmath.log(abs(t * z ** sig[mu] - lam[mu]))
+        for group in (odd, even):
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    lg -= mpmath.log(abs(1 - lam[group[i]] * lam[group[j]]))
+        return lg
 
 
 def check_residual_equivalences(digits):
@@ -131,7 +219,7 @@ def check_residual_equivalences(digits):
     K = mpf("0.35")
     hom = HomogeneousCouplings.from_K(K, K, digits)
     with working_dps(digits):
-        for M in (4, 8, 12):
+        for M in (4, 6, 8, 10, 12):
             sp = spectral.find_modes(hom.z, hom.t, M, digits)
             for L in (mpf(0), mpf(1), mpf("2.5"), mpf(10)):
                 rs = spectral.residual_system(sp, L, digits)
@@ -144,7 +232,7 @@ def check_residual_equivalences(digits):
             sp = spectral.find_modes(hom.z, hom.t, M, digits)
             rs = spectral.residual_system(sp, 0, digits)
             a = spectral.log_zsres(rs)
-            b = spectral.log_zsres_closed_L0(sp, digits)
+            b = log_zsres_closed_L0(sp, digits)
             out.append(_result(f"detY-vs-closedL0-M{M}",
                                abs(mpmath.expm1(a - b)), mpf(10) ** -8))
         hom3 = HomogeneousCouplings.from_K(mpf("0.3"), mpf("0.3"), digits)
@@ -153,6 +241,16 @@ def check_residual_equivalences(digits):
         out.append(_result("detY-decay-LoverM10",
                            abs(spectral.log_zsres(rs)), mpf(10) ** -8))
     return out
+
+
+def casimir_force_fd(L, M, Kh, Kv, digits=40, dL=mpf("1e-4")):
+    """Central finite difference in L of -log det(1 + Y), per area M."""
+    with working_dps(digits):
+        hom = HomogeneousCouplings.from_K(Kh, Kv, digits)
+        spectrum = spectral.find_modes(hom.z, hom.t, M, digits)
+        lo = spectral.log_zsres(spectral.residual_system(spectrum, to_mpf(L) - dL, digits))
+        hi = spectral.log_zsres(spectral.residual_system(spectrum, to_mpf(L) + dL, digits))
+        return (hi - lo) / (2 * dL) / M
 
 
 def check_casimir(digits):
@@ -165,7 +263,7 @@ def check_casimir(digits):
             for label, K in [("K0.3", mpf("0.3")), ("Kc", Kc), ("K0.6", mpf("0.6"))]:
                 L = 8
                 an = thermo.casimir_force_strip(L, M, K, K, digits)
-                fd = thermo.casimir_force_fd(L, M, K, K, digits)
+                fd = casimir_force_fd(L, M, K, K, digits)
                 out.append(_result(f"casimir-fd-M{M}-{label}",
                                    abs(an - fd) / abs(an), mpf(10) ** -6))
                 hom = HomogeneousCouplings.from_K(K, K, digits)
@@ -186,19 +284,20 @@ def check_qseries(digits):
         # beyond the inversion: at `digits`, t_of_q's own truncation (about
         # 1e-45 at 40 digits) would come back amplified to 3e-35
         worst = mpf(0)
-        for qs in ("1e-30", "0.01", "0.1", "0.25", "0.4", "0.5", "0.85"):
+        for qs in ("1e-30", "0.01", "0.05", "0.1", "0.2", "0.25", "0.3", "0.4",
+                   "0.5", "0.85"):
             q = mpf(qs)
             back = qseries.q_of_t(qseries.t_of_q(q, digits + 20), digits)
             worst = max(worst, abs(back - q) / q)
         out.append(_result("qseries-roundtrip", worst, tol(0, digits)))
         worst8 = mpf(0)
-        for qs in ("0.05", "0.2", "0.4", "0.5"):
+        for qs in ("0.01", "0.05", "0.1", "0.2", "0.3", "0.4", "0.5"):
             q = mpf(qs)
             a, _ = qseries.pi_product(qseries.BULK_ABOVE, q, digits)
-            b, _ = qseries.pi_product(qseries.BULK_ABOVE_P4, q, digits)
+            b, _ = qseries.pi_product(BULK_ABOVE_P4, q, digits)
             worst8 = max(worst8, abs(a - b))
             a, _ = qseries.pi_product(qseries.CORNER_ABOVE, q, digits)
-            b, _ = qseries.pi_product(qseries.CORNER_ABOVE_QSQ, q * q, digits)
+            b, _ = qseries.pi_product(CORNER_ABOVE_QSQ, q * q, digits)
             worst8 = max(worst8, abs(a - b))
         out.append(_result("qseries-product-forms", worst8, mpf(10) ** -20))
         for K in (mpf("0.7"), mpf("0.25")):
@@ -243,7 +342,10 @@ CHECK_GROUPS = {
 
 
 def run_checks(digits=40, only=None):
-    """Run the battery, or just the groups/checks whose name contains `only`."""
+    """Run the battery, or just the groups/checks whose name contains `only`.
+
+    An `only` that selects no check raises DomainError.
+    """
     results = []
     for gname, (fn, prefixes) in CHECK_GROUPS.items():
         if only and only not in gname and not any(
@@ -253,4 +355,6 @@ def run_checks(digits=40, only=None):
             if only and only not in r.name and only not in gname:
                 continue
             results.append(r)
+    if only and not results:
+        raise DomainError(f"no check matches {only!r}")
     return results

@@ -163,6 +163,14 @@ def test_validate_subset(capsys):
     assert "passed" in err
 
 
+def test_validate_only_matching_nothing_is_a_domain_error(capsys):
+    # a typo must not turn the battery into a silent 0/0 pass
+    code, out, err = run(capsys, "validate", "--only", "nonsense")
+    assert code == 2
+    assert out == ""
+    assert "no check matches 'nonsense'" in err
+
+
 def test_validate_low_precision_fails(capsys):
     # the acceptance-grade identity bounds need the default precision;
     # 15 digits must produce a visible precision failure, not wrong numbers
@@ -191,11 +199,17 @@ def test_sweep_single_point_matches_eval(capsys):
 
 
 def test_sweep_parallel_determinism(tmp_path):
+    # two runs of the same sweep write byte-identical files
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--sweep-K", "0.25:0.6:3", "--sizes", "4,6", "--digits", "30"]
     assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b), "--workers", "2"]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--sweep-K", "0.3:0.3:1", "--sizes", "4", "--workers", "2"])
 
 
 def test_sweep_crosses_critical_coupling(capsys):

@@ -8,14 +8,14 @@ from isingrect.lattice import (
     CouplingGrid,
     HomogeneousCouplings,
     LatticeSpec,
-    constants,
     critical_coupling_isotropic,
     dual,
-    homogeneous_from_grid,
     log_C3,
     pm,
 )
+from isingrect.cli import homogeneous_from_grid
 from isingrect.numerics import DomainError, PrecisionError, working_dps
+from references import constants
 
 
 def test_pm_basic():

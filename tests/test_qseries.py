@@ -5,10 +5,8 @@ from mpmath import mpf
 from isingrect.numerics import DomainError, PrecisionError, working_dps
 from isingrect.qseries import (
     BULK_ABOVE,
-    BULK_ABOVE_P4,
     BULK_BELOW,
     CORNER_ABOVE,
-    CORNER_ABOVE_QSQ,
     CORNER_BELOW,
     COUPLING_VARIABLE,
     SURFACE_BELOW_HALFQ,
@@ -19,6 +17,7 @@ from isingrect.qseries import (
     q_of_t,
     t_of_q,
 )
+from isingrect.validate import BULK_ABOVE_P4, CORNER_ABOVE_QSQ
 
 
 def test_exponent_spot_checks():

@@ -14,12 +14,8 @@ from isingrect.numerics import (
     signed_log,
     working_dps,
 )
-from isingrect.spectral import (
-    find_modes,
-    log_zsres,
-    log_zsres_closed_L0,
-    residual_system,
-)
+from isingrect.spectral import find_modes, log_zsres, residual_system
+from isingrect.validate import log_zsres_closed_L0
 
 
 def _spectrum(K, M):

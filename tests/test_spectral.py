@@ -5,19 +5,13 @@ from mpmath import mp, mpc, mpf
 
 from isingrect.brute_force import brute_force_logZ
 from isingrect.cylinder import logZ_cylinder
-from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, dual, pm
+from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, pm
 from isingrect.numerics import PrecisionError, working_dps
 from isingrect import spectral
 from isingrect.pfaffian import logZ_pfaffian
-from isingrect.spectral import (
-    build_T2,
-    char_poly,
-    eigvec_matrix,
-    find_modes,
-    logZ_spectral,
-    logZ_via_detM,
-    residual_system,
-)
+from isingrect.spectral import char_poly, find_modes, logZ_spectral, residual_system
+from isingrect.validate import build_T2
+from references import eigvec_matrix, logZ_via_detM
 
 K_ABOVE, K_BELOW = mpf("0.3"), mpf("0.6")
 

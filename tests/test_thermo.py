@@ -6,14 +6,9 @@ from isingrect.brute_force import brute_force_logZ
 from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec
 from isingrect.numerics import DomainError, log_abs_det, working_dps
 from isingrect.spectral import find_modes, residual_system
-from isingrect.thermo import (
-    CSV_COLUMNS,
-    casimir_force_fd,
-    casimir_force_strip,
-    extract_corner,
-    report,
-    write_csv,
-)
+from isingrect.cli import main
+from isingrect.thermo import CSV_COLUMNS, casimir_force_strip, extract_corner, report
+from isingrect.validate import casimir_force_fd
 
 
 def test_report_identity_and_oracle():
@@ -149,10 +144,9 @@ def test_extract_corner_input_checks():
 
 
 def test_csv_emission(tmp_path):
-    with working_dps(30):
-        rep = report(4, 4, "0.35", "0.35", digits=30)
     path = tmp_path / "rows.csv"
-    write_csv(path, [rep])
+    assert main(["eval", "--path", "spectral", "-L", "4", "-M", "4", "--Kh", "0.35",
+                 "--Kv", "0.35", "--digits", "30", "--out", str(path)]) == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     cells = lines[1].split(",")
