@@ -5,7 +5,19 @@ defines exponents c_k = sum_j C[j][k mod p] k^j and the product
 
     Pi(C|q) = prod_{k>=1} (1 - q^k)^(c_k),
 
-convergent for 0 <= q < 1.  For the isotropic square lattice the natural
+convergent for 0 <= q < 1.  Its logarithm is evaluated as the Lambert
+series
+
+    log Pi(C|q) = -sum_{n>=1} a_n q^n,  a_n = (1/n) sum_{d|n} d c_d,
+
+whose exact coefficients each table caches; pi_product runs it by Horner's
+scheme on fixed-point Python ints, with the leading power of q factored
+out so that a tiny log Pi keeps its relative digits, and raises
+PrecisionError when the terms cancel past the guard digits.  The corner
+products at large K are such tiny values: summed factor by factor, from a
+rounded 1 - q^k, f_c lost up to 22 of 40 digits at K = 20.
+
+For the isotropic square lattice the natural
 low-temperature variable q is fixed by t = sqrt(q) Pi(C_t|q) with t = exp(-2K)
 in the ordered phase; by duality the same product gives z = tanh(K) in the
 paramagnetic phase.  The bulk, surface, and corner free energies then have
@@ -22,8 +34,9 @@ better than 1e-10):
 * below T_c the bulk product q^(-1/2) Pi is the complete bulk free energy;
   no separate regular factor enters;
 * the surface term is per column/row of the lattice and covers both of its
-  boundary faces, so its regular part is -1/2 log(1 - z^2), twice the
-  per-face value;
+  boundary faces, so its regular part is -1/2 log(1 - z^2) = log cosh K,
+  twice the per-face value (computed as log cosh K, which does not cancel
+  as z -> 1);
 * the corner products carry the two-phase degeneracy constant -log 2 in the
   ordered phase; with apply_errata=True (default) that constant is removed,
   making f_c -> 0 at T -> 0.
@@ -31,16 +44,30 @@ better than 1e-10):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .lattice import critical_coupling_isotropic
-from .numerics import GUARD_DIGITS, DomainError, PrecisionError, to_mpf, tol, working_dps
+from .numerics import (
+    GUARD_DIGITS,
+    MIN_DIGITS,
+    DomainError,
+    PrecisionError,
+    to_mpf,
+    tol,
+    working_dps,
+)
 
 Q_CUTOFF = mpf("0.9")
+
+# bits that hold the GUARD_DIGITS decimal digits
+GUARD_BITS = math.ceil(GUARD_DIGITS * math.log2(10))
 
 
 @dataclass(frozen=True)
@@ -48,6 +75,10 @@ class PeriodicCoeffMatrix:
     """Exponent table: rows[j][r] multiplies k^j for k = r (mod period)."""
 
     rows: tuple
+    _lambert_cache: list = field(default_factory=list, init=False, repr=False,
+                                 compare=False)
+    _fixed_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         p = len(self.rows[0])
@@ -66,6 +97,30 @@ class PeriodicCoeffMatrix:
         """c_k as an exact Fraction."""
         r = k % self.period
         return sum(Fraction(row[r]) * k ** j for j, row in enumerate(self.rows))
+
+    def lambert(self, n):
+        """Lambert coefficients a_m = (1/m) sum_{d|m} d c_d for m = 0..n at
+        least, as exact pairs (numerator, denominator); a_0 = 0.  Cached on
+        the table, and extended (to at least twice the length) on demand."""
+        a = self._lambert_cache
+        if len(a) <= n:
+            size = max(n + 1, 2 * len(a))
+            D = math.lcm(*(Fraction(x).denominator for row in self.rows for x in row))
+            s = [0] * size
+            for d in range(1, size):
+                dc = int(d * D * self.exponent(d))
+                if dc:
+                    for m in range(d, size, d):
+                        s[m] += dc
+            a[:] = [(0, 1)] + [(s[m], m * D) for m in range(1, size)]
+        return a
+
+    def _lambert_fixed(self, Fb, n):
+        """floor(a_m 2^Fb) for m = 0..n at least; cached per scale Fb."""
+        fixed = self._fixed_cache.setdefault(Fb, [])
+        if len(fixed) <= n:
+            fixed[:] = [(num << Fb) // den for num, den in self.lambert(n)]
+        return fixed
 
 
 def _cm(*rows):
@@ -97,16 +152,24 @@ CORNER_ABOVE = _cm([0, 0, 0, 0, -3, 0, 0, 0],
                    [0, 0, F(-1, 2), 0, 0, 0, F(1, 2), 0])
 
 
-def _frac_to_mpf(fr):
-    fr = Fraction(fr)
-    return mpf(fr.numerator) / mpf(fr.denominator)
-
-
 def pi_product(C, q, digits=40):
-    """(log Pi(C|q), truncation index).
+    """(log Pi(C|q), truncation index N), as the Lambert series
 
-    Terms are summed until the exponent-magnitude majorant times q^k drops
-    below 10^(-digits-5); at least one full period is always evaluated.
+        sum_k c_k log(1 - q^k) = -sum_n a_n q^n,  a_n = (1/n) sum_{d|n} d c_d.
+
+    The exact coefficients are cached on C (PeriodicCoeffMatrix.lambert).
+    With n0 the first n whose a_n is nonzero, q^n0 is factored out and
+    T = sum_{n0<=n<=N} a_n q^(n-n0) runs by Horner's scheme on Python ints
+    at one fixed-point scale 2^Fb; no logarithm is taken, and a tiny result
+    (the corner term at large K) keeps its relative digits.  N is the first
+    index from one full period on whose tail, bounded through
+    |a_n| <= B(n)(1 + ln n) with the majorant B(n) = sum_j max_r |C[j][r]| n^j,
+    stays below 10^(-digits-5) q^n0.
+
+    The certificate: when sum |a_n| q^(n-n0) reaches 10^GUARD_DIGITS |T|,
+    the series has cancelled into the guard digits and PrecisionError is
+    raised.  Below that, Fb is wide enough that the rounding of the Horner
+    steps stays under one unit of the working precision.
     """
     with working_dps(digits):
         q = to_mpf(q)
@@ -114,22 +177,53 @@ def pi_product(C, q, digits=40):
             raise DomainError("pi_product requires 0 <= q < 1")
         if q == 0:
             return mpf(0), 0
-        rows = [[_frac_to_mpf(x) for x in row] for row in C.rows]
-        bounds = [max(abs(x) for x in row) for row in rows]
-        p = C.period
-        cutoff = mpf(10) ** (-(digits + 5))
-        total = mpf(0)
-        k = 0
-        qk = mpf(1)
-        while True:
-            k += 1
-            qk *= q
-            r = k % p
-            ck = sum(row[r] * k ** j for j, row in enumerate(rows))
-            if ck:
-                total += ck * mpmath.log(1 - qk)
-            if k >= p and sum(b * k ** j for j, b in enumerate(bounds)) * qk < cutoff:
-                return total, k
+        bounds = [max(abs(float(x)) for x in row) for row in C.rows]
+        if not any(bounds):
+            return mpf(0), C.period
+        a = C.lambert(C.period)
+        n0 = 1
+        while not a[n0][0]:
+            n0 += 1
+            if n0 == len(a):
+                a = C.lambert(2 * n0)
+        N = _truncation(bounds, q, n0, max(C.period, n0), digits)
+        # |T| >= |a_n0| / 10^GUARD_DIGITS, and |a_n0| >= 1 / its denominator
+        Fb = mp.prec + GUARD_BITS + 2 * N.bit_length() + a[n0][1].bit_length()
+        Fb = -(-Fb // 32) * 32           # few distinct scales, each cached
+        A = C._lambert_fixed(Fb, N)
+        Q = to_fixed(q._mpf_, Fb)
+        acc = mag = 0
+        for n in range(N, n0 - 1, -1):
+            acc = A[n] + (acc * Q >> Fb)
+            mag = abs(A[n]) + (mag * Q >> Fb)
+        if mag >= abs(acc) * 10 ** GUARD_DIGITS:
+            ratio = mpmath.nstr(mpf(mag) / abs(acc), 3) if acc else "inf"
+            raise PrecisionError(
+                f"pi_product: the Lambert series at q = {mpmath.nstr(q, 8)} cancels "
+                f"by {ratio}, past the {GUARD_DIGITS} guard digits")
+        return -(q ** n0) * mpf((acc, -Fb)), N
+
+
+def _truncation(bounds, q, n0, start, digits):
+    """The least N >= start at which the majorant's tail
+    sum_{n>N} B(n)(1 + ln n) q^(n-n0), bounded by its first term over one
+    minus the ratio of its first two (the ratios fall with n), is below
+    10^(-digits-5)."""
+    _, man, exp, _ = q._mpf_
+    lq = (math.log2(man) + exp) * math.log(2)          # ln q, also below 1e-308
+    cut = -(digits + 5) * math.log(10)
+
+    def log_term(n):                                   # ln B(n)(1 + ln n) q^(n-n0)
+        B = sum(b * n ** j for j, b in enumerate(bounds))
+        return math.log(B * (1 + math.log(n))) + (n - n0) * lq
+
+    # each term is at least B(1) q^(n-n0), so no N below this one passes
+    n = max(start, n0 - 1 + math.floor((cut - math.log(sum(bounds))) / lq))
+    while True:
+        t1, t2 = log_term(n + 1), log_term(n + 2)
+        if t2 < t1 and t1 - math.log1p(-math.exp(t2 - t1)) < cut:
+            return n
+        n += 1
 
 
 def t_of_q(q, digits=40):
@@ -158,6 +252,13 @@ def q_of_t(t, digits=40):
     return _q_and_condition(t, digits)[0]
 
 
+@lru_cache(maxsize=None)
+def _t_max():
+    """t_of_q(Q_CUTOFF), the edge of q_of_t's range, for its error message,
+    which prints 8 digits."""
+    return t_of_q(Q_CUTOFF, MIN_DIGITS)
+
+
 def _q_and_condition(t, digits):
     """(q_of_t(t), d log q / d log t = 2 (agm(1, k')/k')^2 (1 + t^2)/(1 - t^2)),
     the factor that carries a rounding of t into q; it diverges at k' -> 0."""
@@ -173,10 +274,9 @@ def _q_and_condition(t, digits):
             agm_kp = mpmath.agm(1, kp)
             q = mpmath.exp(-mpmath.pi / 2 * agm_kp / mpmath.agm(1, k))
         if q is None or q >= Q_CUTOFF:
-            tmax = t_of_q(Q_CUTOFF, digits)
             raise DomainError(
                 f"t = {mpmath.nstr(t, 8)} is outside the invertible range "
-                f"(needs t < {mpmath.nstr(tmax, 8)}, i.e. a coupling away from critical)"
+                f"(needs t < {mpmath.nstr(_t_max(), 8)}, i.e. a coupling away from critical)"
             )
         defect = abs(t_of_q(q, digits) - t) / t
         if defect > tol(0, digits):
@@ -237,7 +337,6 @@ def free_energy_pieces(K, digits=40, apply_errata=True):
             f_b_sing = mpmath.log(q) / 2 - lg_b
             f_b_reg = mpf(0)            # the ordered-phase product is complete
             f_s_sing = log2 - lg_sA - lg_sB
-            f_s_reg = -mpmath.log(1 - z ** 2) / 2
             f_c_sing = -lg_c - (mpf(0) if apply_errata else log2)
         else:
             lg_b, _ = pi_product(BULK_ABOVE, q, digits)
@@ -246,8 +345,9 @@ def free_energy_pieces(K, digits=40, apply_errata=True):
             f_b_sing = -lg_b
             f_b_reg = -mpmath.log(2 * (1 + z ** 2) / (1 - z ** 2))
             f_s_sing = -lg_s
-            f_s_reg = -mpmath.log(1 - z ** 2) / 2
             f_c_sing = -lg_c
+        # -log(1 - z^2)/2 exactly, without the digits that 1 - z^2 loses at large K
+        f_s_reg = mpmath.log(mpmath.cosh(K))
         return FreeEnergyPieces(
             side=side, K=K, q=q,
             f_b=f_b_reg + f_b_sing,

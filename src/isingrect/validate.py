@@ -5,9 +5,11 @@ second formulas that only these checks need live here, not in the route
 modules: the dense 2M x 2M transfer matrix (build_T2, whose spectrum must
 be the modes' lambda^(+-1)), the closed L = 0 product of det(1 + Y)
 (log_zsres_closed_L0), the finite-difference Casimir force
-(casimir_force_fd), and the period-4 and squared-argument rewrites of the
+(casimir_force_fd), the period-4 and squared-argument rewrites of the
 paramagnetic bulk and corner product tables (BULK_ABOVE_P4,
-CORNER_ABOVE_QSQ).  Two tolerance families coexist:
+CORNER_ABOVE_QSQ), and the factor-by-factor q-product that checks the
+Lambert series of qseries.pi_product (pi_product_per_factor).  Two
+tolerance families coexist:
 
 * relative cross-path comparisons scale with the requested precision
   (the 10^(k - digits) family);
@@ -20,6 +22,7 @@ CORNER_ABOVE_QSQ).  Two tolerance families coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
@@ -41,6 +44,45 @@ BULK_ABOVE_P4 = PeriodicCoeffMatrix(((0, 2, -4, 2),
                                      (0, -1, 0, 1)))
 CORNER_ABOVE_QSQ = PeriodicCoeffMatrix(((0, 0, -3, 0),
                                         (0, -1, 0, 1)))
+
+# every table that free_energy_pieces and t_of_q evaluate
+QSERIES_TABLES = (qseries.COUPLING_VARIABLE, qseries.BULK_BELOW,
+                  qseries.SURFACE_BELOW_MAIN, qseries.SURFACE_BELOW_HALFQ,
+                  qseries.CORNER_BELOW, qseries.BULK_ABOVE, qseries.SURFACE_ABOVE,
+                  qseries.CORNER_ABOVE)
+
+
+def pi_product_per_factor(C, q, digits=40):
+    """(log Pi(C|q), truncation index), summed factor by factor: one
+    c_k log(1 - q^k) per term, the reference for qseries.pi_product's
+    Lambert series.  Terms are summed until the exponent-magnitude majorant
+    times q^k drops below 10^(-digits-5); at least one full period is
+    always evaluated.  The sum is absolute, so a result far below 1 (the
+    corner product at large K) keeps only the digits that 1 - q^k kept.
+    """
+    with working_dps(digits):
+        q = to_mpf(q)
+        if q < 0 or q >= 1:
+            raise DomainError("pi_product requires 0 <= q < 1")
+        if q == 0:
+            return mpf(0), 0
+        rows = [[mpf(x.numerator) / x.denominator for x in map(Fraction, row)]
+                for row in C.rows]
+        bounds = [max(abs(x) for x in row) for row in rows]
+        p = C.period
+        cutoff = mpf(10) ** (-(digits + 5))
+        total = mpf(0)
+        k = 0
+        qk = mpf(1)
+        while True:
+            k += 1
+            qk *= q
+            r = k % p
+            ck = sum(row[r] * k ** j for j, row in enumerate(rows))
+            if ck:
+                total += ck * mpmath.log(1 - qk)
+            if k >= p and sum(b * k ** j for j, b in enumerate(bounds)) * qk < cutoff:
+                return total, k
 
 
 @dataclass
@@ -276,8 +318,8 @@ def check_casimir(digits):
 
 
 def check_qseries(digits):
-    """Round trip q <-> t, equivalent product forms, corner extraction, and
-    the bulk/surface limits."""
+    """Round trip q <-> t, equivalent product forms, the Lambert series
+    against the factor-by-factor product, and corner extraction."""
     out = []
     with working_dps(digits):
         # d log q / d log t reaches 3e10 at q = 0.85, so t is made 20 digits
@@ -290,16 +332,27 @@ def check_qseries(digits):
             back = qseries.q_of_t(qseries.t_of_q(q, digits + 20), digits)
             worst = max(worst, abs(back - q) / q)
         out.append(_result("qseries-roundtrip", worst, tol(0, digits)))
+        # the rewrites check the transcribed tables, so they run on the
+        # per-factor reference, apart from the Lambert evaluator
         worst8 = mpf(0)
         for qs in ("0.01", "0.05", "0.1", "0.2", "0.3", "0.4", "0.5"):
             q = mpf(qs)
-            a, _ = qseries.pi_product(qseries.BULK_ABOVE, q, digits)
-            b, _ = qseries.pi_product(BULK_ABOVE_P4, q, digits)
+            a, _ = pi_product_per_factor(qseries.BULK_ABOVE, q, digits)
+            b, _ = pi_product_per_factor(BULK_ABOVE_P4, q, digits)
             worst8 = max(worst8, abs(a - b))
-            a, _ = qseries.pi_product(qseries.CORNER_ABOVE, q, digits)
-            b, _ = qseries.pi_product(CORNER_ABOVE_QSQ, q * q, digits)
+            a, _ = pi_product_per_factor(qseries.CORNER_ABOVE, q, digits)
+            b, _ = pi_product_per_factor(CORNER_ABOVE_QSQ, q * q, digits)
             worst8 = max(worst8, abs(a - b))
         out.append(_result("qseries-product-forms", worst8, mpf(10) ** -20))
+        # each table's Lambert series against its factors at 2.5x the digits
+        worst = mpf(0)
+        for qs in ("1e-30", "0.01", "0.1", "0.36", "0.6", "0.85"):
+            q = mpf(qs)
+            for C in QSERIES_TABLES:
+                lg, _ = qseries.pi_product(C, q, digits)
+                ref, _ = pi_product_per_factor(C, q, 5 * digits // 2)
+                worst = max(worst, abs(lg - ref) / abs(ref))
+        out.append(_result("qseries-lambert-vs-product", worst, tol(0, digits)))
         for K in (mpf("0.7"), mpf("0.25")):
             pieces = qseries.free_energy_pieces(K, digits)
             ext = thermo.extract_corner(K, (16, 24, 32), digits)
@@ -336,7 +389,8 @@ CHECK_GROUPS = {
                  ["detY-vs-effspin", "detY-vs-closedL0", "detY-decay"]),
     "casimir": (check_casimir, ["casimir-fd", "casimir-effspin"]),
     "qseries": (check_qseries,
-                ["qseries-roundtrip", "qseries-product-forms", "corner-extraction"]),
+                ["qseries-roundtrip", "qseries-product-forms", "qseries-lambert-vs-product",
+                 "corner-extraction"]),
     "bulk-surface": (check_bulk_surface, ["bulk-limit", "surface-limit"]),
 }
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -205,6 +206,17 @@ def test_sweep_parallel_determinism(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_matches_golden_file(capsys):
+    # every printed digit of this sweep is frozen: tests/data/sweep_golden.csv
+    # is its output before the q-products became Lambert series; a change
+    # that moves any digit must explain itself and regenerate the file with
+    #   isingrect sweep --sweep-K 0.2:3:15 --sizes 4,6 > tests/data/sweep_golden.csv
+    golden = Path(__file__).parent / "data" / "sweep_golden.csv"
+    code, out, _ = run(capsys, "sweep", "--sweep-K", "0.2:3:15", "--sizes", "4,6")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_sweep_has_no_workers_option(capsys):

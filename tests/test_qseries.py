@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mpf
 
+from isingrect.cli import main
 from isingrect.numerics import DomainError, PrecisionError, working_dps
 from isingrect.qseries import (
     BULK_ABOVE,
@@ -17,7 +20,12 @@ from isingrect.qseries import (
     q_of_t,
     t_of_q,
 )
-from isingrect.validate import BULK_ABOVE_P4, CORNER_ABOVE_QSQ
+from isingrect.validate import (
+    BULK_ABOVE_P4,
+    CORNER_ABOVE_QSQ,
+    QSERIES_TABLES,
+    pi_product_per_factor,
+)
 
 
 def test_exponent_spot_checks():
@@ -61,6 +69,50 @@ def test_pi_product_euler_oracle():
         assert kmax >= 40
 
 
+@pytest.mark.parametrize("qs", ["1e-30", "1e-5", "0.01", "0.1", "0.36", "0.6", "0.85", "0.9"])
+def test_lambert_matches_per_factor_product(qs):
+    tables = QSERIES_TABLES + (BULK_ABOVE_P4, CORNER_ABOVE_QSQ,
+                               PeriodicCoeffMatrix(((1,),)),
+                               PeriodicCoeffMatrix(((-1, 0), (1, 0))))
+    for C in tables:
+        with working_dps(40):
+            q = mpf(qs)
+            lg, _ = pi_product(C, q)
+        ref, _ = pi_product_per_factor(C, q, 100)
+        with working_dps(100):
+            assert abs(lg - ref) <= mpf("1e-40") * abs(ref), C
+
+
+def test_lambert_coefficients_are_divisor_sums():
+    # a_n = (1/n) sum_{d|n} d c_d; c_k = k - 1 vanishes at k = 1, so the
+    # series, and its factored power of q, start at a_2 = 1
+    C = PeriodicCoeffMatrix(((-1,), (1,)))
+    a = C.lambert(12)
+    assert len(a) > 12 and a[1][0] == 0
+    for n in range(1, 13):
+        expect = sum(d * C.exponent(d) for d in range(1, n + 1) if n % d == 0) / n
+        assert Fraction(*a[n]) == expect
+    with working_dps(40):
+        q = mpf("1e-200")
+        lg, _ = pi_product(C, q)
+        assert abs(lg / -q ** 2 - 1) < mpf("1e-45")
+
+
+def test_cancelling_series_raises():
+    # sum_k (k - 3) log(1 - q^k) changes sign at q = 0.7102828827...; there
+    # the terms cancel past the guard digits, which the certificate sees
+    C = PeriodicCoeffMatrix(((-3,), (1,)))
+    with mpmath.mp.workdps(80):
+        root = mpmath.findroot(lambda q: pi_product_per_factor(C, q, 70)[0], mpf("0.71"))
+    with working_dps(40):
+        for off in ("0", "1e-30", "1e-12"):
+            with pytest.raises(PrecisionError, match="cancels"):
+                pi_product(C, root * (1 + mpf(off)))
+        lg, _ = pi_product(C, root * (1 + mpf("1e-8")))
+        ref, _ = pi_product_per_factor(C, root * (1 + mpf("1e-8")), 100)
+        assert abs(lg - ref) < mpf("1e-38") * abs(ref)
+
+
 def test_t_of_q_leading_order():
     with working_dps(40):
         q = mpf("1e-20")
@@ -95,6 +147,15 @@ def test_q_of_t_out_of_range():
         for t in (mpmath.sqrt(2) - 1, mpf("0.5"), mpf("0.99"), mpf(3)):
             with pytest.raises(DomainError):
                 q_of_t(t)
+
+
+@pytest.mark.parametrize("digits", [15, 40, 80])
+def test_q_of_t_out_of_range_message(digits):
+    with working_dps(digits):
+        with pytest.raises(DomainError) as err:
+            q_of_t(mpf("0.5"), digits)
+    assert str(err.value) == ("t = 0.5 is outside the invertible range (needs "
+                              "t < 0.41421356, i.e. a coupling away from critical)")
 
 
 def test_q_of_t_certificate(monkeypatch):
@@ -250,3 +311,24 @@ def test_bulk_at_large_coupling(K):
     with working_dps(60):
         half_unit = mpf(10) ** (mpmath.floor(mpmath.log10(abs(ref))) - 39) / 2
         assert abs(f_b - ref) <= half_unit
+
+
+@pytest.mark.parametrize("K", [5, 8, 10, 12, 15, 20])
+def test_pieces_at_large_coupling_to_every_digit(K):
+    # q^k rounds away in 1 - q^k and 1 - tanh^2 K cancels, so a per-factor
+    # corner product and -log(1 - z^2)/2 lost up to 22 of the 40 digits
+    got, ref = free_energy_pieces(mpf(K)), free_energy_pieces(mpf(K), digits=150)
+    with working_dps(150):
+        for name in ("q", "f_b", "f_s", "f_c"):
+            a, b = getattr(got, name), getattr(ref, name)
+            half_unit = mpf(10) ** (mpmath.floor(mpmath.log10(abs(b))) - 39) / 2
+            assert abs(a - b) <= half_unit, name
+
+
+def test_sweep_prints_the_corner_term_at_large_coupling(capsys):
+    assert main(["sweep", "--sweep-K", "10:10:1", "--sizes", "4"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    f_c = row.split(",")[header.split(",").index("f_c")]
+    ref = free_energy_pieces(mpf(10), digits=100).f_c
+    with working_dps(100):
+        assert mpmath.nstr(ref, 40, strip_zeros=True) == f_c
