@@ -75,15 +75,19 @@ class PeriodicCoeffMatrix:
     """Exponent table: rows[j][r] multiplies k^j for k = r (mod period)."""
 
     rows: tuple
-    _lambert_cache: list = field(default_factory=list, init=False, repr=False,
-                                 compare=False)
-    _fixed_cache: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    # D, the rows' common denominator; the Lambert sums D m a_m; and
+    # [Fb, floor(a_m 2^Fb)...] at the scale Fb of the last evaluation
+    _den: int = field(init=False, repr=False, compare=False)
+    _sums: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _fixed: list = field(default_factory=lambda: [None, []], init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         p = len(self.rows[0])
         if any(len(r) != p for r in self.rows):
             raise DomainError("all coefficient rows must share one period")
+        object.__setattr__(self, "_den", math.lcm(
+            *(Fraction(x).denominator for row in self.rows for x in row)))
 
     @property
     def period(self):
@@ -98,29 +102,30 @@ class PeriodicCoeffMatrix:
         r = k % self.period
         return sum(Fraction(row[r]) * k ** j for j, row in enumerate(self.rows))
 
-    def lambert(self, n):
-        """Lambert coefficients a_m = (1/m) sum_{d|m} d c_d for m = 0..n at
-        least, as exact pairs (numerator, denominator); a_0 = 0.  Cached on
-        the table, and extended (to at least twice the length) on demand."""
-        a = self._lambert_cache
-        if len(a) <= n:
-            size = max(n + 1, 2 * len(a))
-            D = math.lcm(*(Fraction(x).denominator for row in self.rows for x in row))
-            s = [0] * size
+    def _lambert_sums(self, n):
+        """D m a_m = sum_{d|m} d D c_d, an int, for m = 0..n at least, where
+        a_m = (1/m) sum_{d|m} d c_d is the m-th Lambert coefficient.  Cached,
+        and extended to at least twice the length when a call needs more."""
+        sums = self._sums
+        if len(sums) <= n:
+            size = max(n + 1, 2 * len(sums))
+            new = [0] * size
             for d in range(1, size):
-                dc = int(d * D * self.exponent(d))
+                dc = int(d * self._den * self.exponent(d))
                 if dc:
                     for m in range(d, size, d):
-                        s[m] += dc
-            a[:] = [(0, 1)] + [(s[m], m * D) for m in range(1, size)]
-        return a
+                        new[m] += dc
+            sums[:] = new
+        return sums
 
     def _lambert_fixed(self, Fb, n):
-        """floor(a_m 2^Fb) for m = 0..n at least; cached per scale Fb."""
-        fixed = self._fixed_cache.setdefault(Fb, [])
-        if len(fixed) <= n:
-            fixed[:] = [(num << Fb) // den for num, den in self.lambert(n)]
-        return fixed
+        """floor(a_m 2^Fb) for m = 0..n at least, cached for the last Fb."""
+        fixed = self._fixed
+        if fixed[0] != Fb or len(fixed[1]) <= n:
+            sums = self._lambert_sums(n)
+            fixed[:] = [Fb, [0] + [(sums[m] << Fb) // (m * self._den)
+                                   for m in range(1, len(sums))]]
+        return fixed[1]
 
 
 def _cm(*rows):
@@ -157,7 +162,7 @@ def pi_product(C, q, digits=40):
 
         sum_k c_k log(1 - q^k) = -sum_n a_n q^n,  a_n = (1/n) sum_{d|n} d c_d.
 
-    The exact coefficients are cached on C (PeriodicCoeffMatrix.lambert).
+    The exact coefficients are cached on C.
     With n0 the first n whose a_n is nonzero, q^n0 is factored out and
     T = sum_{n0<=n<=N} a_n q^(n-n0) runs by Horner's scheme on Python ints
     at one fixed-point scale 2^Fb; no logarithm is taken, and a tiny result
@@ -180,15 +185,15 @@ def pi_product(C, q, digits=40):
         bounds = [max(abs(float(x)) for x in row) for row in C.rows]
         if not any(bounds):
             return mpf(0), C.period
-        a = C.lambert(C.period)
+        sums = C._lambert_sums(C.period)
         n0 = 1
-        while not a[n0][0]:
+        while not sums[n0]:
             n0 += 1
-            if n0 == len(a):
-                a = C.lambert(2 * n0)
+            if n0 == len(sums):
+                sums = C._lambert_sums(2 * n0)
         N = _truncation(bounds, q, n0, max(C.period, n0), digits)
-        # |T| >= |a_n0| / 10^GUARD_DIGITS, and |a_n0| >= 1 / its denominator
-        Fb = mp.prec + GUARD_BITS + 2 * N.bit_length() + a[n0][1].bit_length()
+        # |T| >= |a_n0| / 10^GUARD_DIGITS, and |a_n0| >= 1 / (n0 D)
+        Fb = mp.prec + GUARD_BITS + 2 * N.bit_length() + (n0 * C._den).bit_length()
         Fb = -(-Fb // 32) * 32           # few distinct scales, each cached
         A = C._lambert_fixed(Fb, N)
         Q = to_fixed(q._mpf_, Fb)
@@ -286,7 +291,7 @@ def _q_and_condition(t, digits):
         return q, 2 * (agm_kp / kp) ** 2 * (1 + t * t) / (1 - t * t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeEnergyPieces:
     """Bulk, surface (per row/column, both faces), and corner free energies."""
 

@@ -29,7 +29,7 @@ from .spectral import find_modes, log_strip_part, log_zsres, residual_system
 CSV_COLUMNS = ["Kh", "Kv", "L", "M", "logZ", "F", "F_strip", "F_strip_res", "casimir_strip"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThermoReport:
     Kh: mpf
     Kv: mpf

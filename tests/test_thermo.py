@@ -21,6 +21,13 @@ def test_report_identity_and_oracle():
         assert abs(rep.F + oracle) < mpf("1e-30") * abs(oracle)
 
 
+def test_result_records_hold_no_instance_dict():
+    # a sweep keeps one report and one set of pieces per row
+    from isingrect.qseries import free_energy_pieces
+    assert not hasattr(report(4, 4, "0.3", "0.3"), "__dict__")
+    assert not hasattr(free_energy_pieces("0.3"), "__dict__")
+
+
 def test_report_long_strip_residual_vanishes():
     with working_dps(40):
         rep = report(120, 8, "0.3", "0.3")
