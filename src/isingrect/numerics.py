@@ -10,6 +10,7 @@ domain.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
@@ -65,12 +66,29 @@ def tol(k, digits):
 def to_mpf(x):
     """Convert a scalar (mpf, str, int, float) to mpf at current precision.
 
-    A string that is not a number raises DomainError.
+    mpf values are immutable, so one value is shared where it can be: an
+    mpf that already fits the precision comes back as itself, and a string
+    is parsed once per precision (a sweep row hands the same coupling
+    string to the report, its couplings and the free-energy pieces).  A
+    string that is not a number raises DomainError.
     """
+    if type(x) is mpf and x._mpf_[3] <= mp.prec:
+        return x
+    if type(x) is str:
+        return _parse(x, mp.prec)
     try:
         return mpf(x)
     except ValueError as exc:
         raise DomainError(f"not a number: {x!r}") from exc
+
+
+@lru_cache(maxsize=32)
+def _parse(text, prec):
+    """mpf(text) at the current precision, prec, which keys the cache."""
+    try:
+        return mpf(text)
+    except ValueError as exc:
+        raise DomainError(f"not a number: {text!r}") from exc
 
 
 class LogDet(tuple):

@@ -14,14 +14,15 @@ whose exact coefficients each table caches; pi_product runs it by Horner's
 scheme on fixed-point Python ints, with the leading power of q factored
 out so that a tiny log Pi keeps its relative digits, and raises
 PrecisionError when the terms cancel past the guard digits.  The corner
-products at large K are such tiny values: summed factor by factor, from a
-rounded 1 - q^k, f_c lost up to 22 of 40 digits at K = 20.
+products at large K are such tiny values: a factor-by-factor sum forms
+each log(1 - q^k) from a rounded 1 - q^k and loses 22 of 40 digits of
+f_c at K = 20.
 
-For the isotropic square lattice the natural
-low-temperature variable q is fixed by t = sqrt(q) Pi(C_t|q) with t = exp(-2K)
-in the ordered phase; by duality the same product gives z = tanh(K) in the
-paramagnetic phase.  The bulk, surface, and corner free energies then have
-closed product expressions on either side of the critical point.
+For the isotropic square lattice the natural low-temperature variable q
+is fixed by t = sqrt(q) Pi(C_t|q) with t = exp(-2K) in the ordered phase;
+by duality the same product gives z = tanh(K) in the paramagnetic phase.
+The bulk, surface, and corner free energies then have closed product
+expressions on either side of the critical point.
 
 The inverse map is closed too: q is the square root of the elliptic nome of
 modulus k = (2t/(1 - t^2))^2, so q_of_t evaluates two arithmetic-geometric
@@ -162,11 +163,11 @@ def pi_product(C, q, digits=40):
 
         sum_k c_k log(1 - q^k) = -sum_n a_n q^n,  a_n = (1/n) sum_{d|n} d c_d.
 
-    The exact coefficients are cached on C.
-    With n0 the first n whose a_n is nonzero, q^n0 is factored out and
-    T = sum_{n0<=n<=N} a_n q^(n-n0) runs by Horner's scheme on Python ints
-    at one fixed-point scale 2^Fb; no logarithm is taken, and a tiny result
-    (the corner term at large K) keeps its relative digits.  N is the first
+    The exact coefficients are cached on C.  With n0 the first n whose a_n
+    is nonzero, q^n0 is factored out and T = sum_{n0<=n<=N} a_n q^(n-n0)
+    runs by Horner's scheme on Python ints at one fixed-point scale 2^Fb;
+    no logarithm is taken, and a tiny result (the corner term at large K)
+    keeps its relative digits.  N is the first
     index from one full period on whose tail, bounded through
     |a_n| <= B(n)(1 + ln n) with the majorant B(n) = sum_j max_r |C[j][r]| n^j,
     stays below 10^(-digits-5) q^n0.

@@ -9,8 +9,26 @@ from isingrect.numerics import (
     bracketed_root,
     log_abs_det,
     set_precision,
+    to_mpf,
     working_dps,
 )
+
+
+def test_to_mpf_shares_values_that_fit():
+    with working_dps(40):
+        x = mpf("0.3")
+        assert to_mpf(x) is x
+        a = to_mpf("0.45")
+        assert to_mpf("0.45") is a and a == mpf("0.45")
+        with pytest.raises(DomainError):
+            to_mpf("abc")
+    with working_dps(80):
+        wide = mpf(1) / 3
+        b = to_mpf("0.45")                 # parsed again at the wider precision
+        assert b == mpf("0.45") and b != a
+    with working_dps(40):
+        narrow = to_mpf(wide)
+        assert narrow is not wide and narrow == +wide
 
 
 def _mat(rows):
