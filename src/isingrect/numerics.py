@@ -74,12 +74,9 @@ def to_mpf(x):
     """
     if type(x) is mpf and x._mpf_[3] <= mp.prec:
         return x
-    if type(x) is str:
+    if isinstance(x, str):
         return _parse(x, mp.prec)
-    try:
-        return mpf(x)
-    except ValueError as exc:
-        raise DomainError(f"not a number: {x!r}") from exc
+    return mpf(x)
 
 
 @lru_cache(maxsize=32)

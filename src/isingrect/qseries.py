@@ -167,10 +167,10 @@ def pi_product(C, q, digits=40):
     is nonzero, q^n0 is factored out and T = sum_{n0<=n<=N} a_n q^(n-n0)
     runs by Horner's scheme on Python ints at one fixed-point scale 2^Fb;
     no logarithm is taken, and a tiny result (the corner term at large K)
-    keeps its relative digits.  N is the first
-    index from one full period on whose tail, bounded through
-    |a_n| <= B(n)(1 + ln n) with the majorant B(n) = sum_j max_r |C[j][r]| n^j,
-    stays below 10^(-digits-5) q^n0.
+    keeps its relative digits.  N is the first index from one full period
+    on whose tail, bounded through |a_n| <= B(n)(1 + ln n) with the
+    majorant B(n) = sum_j max_r |C[j][r]| n^j, stays below
+    10^(-digits-5) q^n0.
 
     The certificate: when sum |a_n| q^(n-n0) reaches 10^GUARD_DIGITS |T|,
     the series has cancelled into the guard digits and PrecisionError is
@@ -195,7 +195,7 @@ def pi_product(C, q, digits=40):
         N = _truncation(bounds, q, n0, max(C.period, n0), digits)
         # |T| >= |a_n0| / 10^GUARD_DIGITS, and |a_n0| >= 1 / (n0 D)
         Fb = mp.prec + GUARD_BITS + 2 * N.bit_length() + (n0 * C._den).bit_length()
-        Fb = -(-Fb // 32) * 32           # few distinct scales, each cached
+        Fb = -(-Fb // 32) * 32           # few distinct scales; C keeps the last
         A = C._lambert_fixed(Fb, N)
         Q = to_fixed(q._mpf_, Fb)
         acc = mag = 0
