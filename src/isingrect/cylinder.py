@@ -14,11 +14,13 @@ vertical boundaries correspond to t_{ell,M} = 1.
 The 2M x 2M product is never formed.  Only the 2M x M block X that the
 corner reads is carried: it starts at E, and each factor acts on it as row
 operations, every new row a combination of two old rows, so a column costs
-O(M^2) before orthonormalisation.  After every column, modified Gram-Schmidt
-writes X = Q R with a positive diagonal of R; sum log r_jj goes into
-log det C and Q carries on as X.  Without this the columns of X line up with
-the dominant modes and the corner's pivots cancel.  The corner is then
-C = (X[:M] + X[M:]) / 2.
+O(M^2).  Modified Gram-Schmidt writes X = Q R with a positive diagonal of R;
+sum log r_jj goes into log det C and Q carries on as X.  Without it the
+columns of X line up with the dominant modes and the corner's pivots
+cancel.  Gram-Schmidt costs O(M^3), so it runs on a cadence, not after
+every column: X is orthonormalised before a column whose factors would
+take the span's growth bound G (below) past EXTRA_BITS, and always after
+the last column.  The corner is then C = (X[:M] + X[M:]) / 2.
 
 The factor coefficients are closed forms in the couplings,
 
@@ -28,7 +30,7 @@ the pm pairs of z = tanh Kh and t = exp(-2Kv), without forming z or t: at
 large K, 1 - z has no digit left at the working precision.
 
 Fixed point.  The column loop runs on Python ints: a real x is held as the
-int round(x 2^F), with F = prec + EXTRA_BITS bits and prec the working
+int round(x 2^F), with F = prec + 2 EXTRA_BITS bits and prec the working
 precision.  The coefficients are rounded to this grid once per distinct
 coupling.  A row operation is (a x_i + b x_j + 2^(F-1)) >> F, one rounding
 per entry.  Gram-Schmidt lifts a column to 2^(2F), subtracts its
@@ -38,23 +40,51 @@ certificate ratio and the M x M corner return to mpf.  Each log r_jj is the
 log of the norm with its power of two applied as an mpf exponent; the log
 of the int less a multiple of log 2 would cancel about two digits.
 
+Growth bound.  For a factor T with int coefficients,
+log2 |T|_2 <= g(T) = log2 sqrt(|T|_1 |T|_inf), where |T|_inf is the
+largest |a| + |b| over its rows and |T|_1 the largest column sum of |a|
+and |b|.  g >= 0, since cosh 2Kv and coth 2Kh are at least 1.  G is the
+sum of g over the factors applied since the last Gram-Schmidt, so a
+product of any of those factors that ends the span has norm at most 2^G,
+whatever the couplings are.  The budget EXTRA_BITS keeps G <= EXTRA_BITS
+on every span of two or more columns; the growth it allows comes out of
+the EXTRA_BITS that F holds beyond prec + EXTRA_BITS, not out of the
+guard digits.
+
 Rounding here is absolute, 2^-F per entry, not relative.  That is safe
-because Q has orthonormal columns, so every entry is at most 1, and
-Gram-Schmidt in floating point leaves errors of the same kind: relative to
-a column's norm, not to each entry.  It fails for a column that shrinks
-before Gram-Schmidt, whose absolute errors are then large beside it.  A
-column x that Gram-Schmidt leaves with norm r has a relative error of about
-2^-F max(|x|, 1) / r, against 2^-prec |x| / r in floating point.  The
-certificate therefore takes r / max(|x|, 2^-EXTRA_BITS) for each column:
-the floating-point ratio r / |x| down to |x| = 2^-EXTRA_BITS, where the
-extra bits absorb the shrinkage, and a bound on the loss of any smaller
-column.
+because Q has orthonormal columns where a span starts, so every entry is at
+most 1 there, and Gram-Schmidt in floating point leaves errors of the same
+kind: relative to a column's norm, not to each entry.  It fails for a
+column that shrinks before Gram-Schmidt, whose absolute errors are then
+large beside it.  A column x that Gram-Schmidt leaves with norm r has a
+relative error of about 2^-F max(|x|, 1) / r from the rounding of the
+span's last column and of Gram-Schmidt, against 2^-prec |x| / r in floating
+point.  The rounding of the span's earlier columns adds to it.  A factor
+rounds each entry of X by at most 2^-(F+1), so each column of X by at most
+sqrt(2M) 2^-(F+1), and a lattice column's two factors by twice that.  The
+factors after it multiply this by at most 2^G.  After a span of k columns
+each column of X therefore carries at most
+
+    (k - 1) sqrt(2M) 2^(G-F) = 2^-prec c 2^(G - EXTRA_BITS),
+    c = (k - 1) sqrt(2M) 2^-EXTRA_BITS,
+
+from the first k - 1 columns, with F = prec + 2 EXTRA_BITS.  The
+certificate therefore takes
+
+    r / max(|x|, 2^-EXTRA_BITS, c 2^(G - EXTRA_BITS))
+
+for each column: the floating-point ratio r / |x| down to
+|x| = 2^-EXTRA_BITS, where the extra bits absorb the shrinkage, a bound on
+the loss of any smaller column, and the span's carried rounding.  A span of one
+column has c = 0 and is charged as when Gram-Schmidt followed every column.
+The bound holds for a column that shrank and grew again inside a span,
+which no norm taken at the span's end can show.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log2
 from operator import mul
 
 import mpmath
@@ -70,7 +100,8 @@ from .numerics import (
     working_dps,
 )
 
-# fixed-point bits beyond the working precision
+# spare fixed-point bits: the certificate's floor for a small column, and the
+# growth bound a span between two Gram-Schmidt steps may reach; F holds both
 EXTRA_BITS = 20
 
 
@@ -95,10 +126,10 @@ def build_factors(grid, digits=40):
     """The L columns' coefficients; the last column's Vz uses the formal z = 1.
 
     The closed forms are evaluated once per distinct coupling and rounded to
-    F = prec + EXTRA_BITS bits at the working precision.
+    F = prec + 2 EXTRA_BITS bits at the working precision.
     """
     with working_dps(digits):
-        F = mp.prec + EXTRA_BITS
+        F = mp.prec + 2 * EXTRA_BITS
         L, M = grid.spec.L, grid.spec.M
         horizontal, vertical = {}, {}
 
@@ -152,6 +183,17 @@ def vertical_rows(tp, tm):
     return top + bottom
 
 
+def growth_bits(rows, bits):
+    """log2 sqrt(|T|_1 |T|_inf), a bound on log2 |T|_2 of the factor T given
+    by its row operations, from their int coefficients scaled by 2^bits."""
+    col_sums = [0] * len(rows)
+    for a, i, b, j in rows:
+        col_sums[i] += abs(a)
+        col_sums[j] += abs(b)
+    row_sum = max(abs(a) + abs(b) for a, _, b, _ in rows)
+    return (log2(row_sum) + log2(max(col_sums))) / 2 - bits
+
+
 def apply_rows(rows, cols, bits):
     """A factor given by its row operations, applied to X given by its
     columns; coefficients and entries are ints scaled by 2^bits."""
@@ -160,20 +202,27 @@ def apply_rows(rows, cols, bits):
             for x in cols]
 
 
-def orthonormalise(cols, bits):
+def orthonormalise(cols, bits, span=1, growth=0):
     """Modified Gram-Schmidt on X's columns in place, X = Q R, on ints
-    scaled by 2^bits.
+    scaled by 2^bits, after a span of `span` columns whose factors' growth
+    bound is G = `growth` bits.
 
-    Returns sum log r_jj and the smallest ratio r_jj / max(|x_j|, 2^-EXTRA_BITS)
-    over the columns x_j, both as mpf.  Every r_jj is the norm of a column
-    after its projections, so the diagonal of R is positive.  A ratio of
-    10^-d says that the column's rounding errors grew by 10^d relative to
-    what is left of it, whether the projections cancelled it or it reached
-    Gram-Schmidt smaller than the fixed-point grid resolves.
+    Returns sum log r_jj and the smallest ratio
+    r_jj / max(|x_j|, 2^-EXTRA_BITS, c 2^(G - EXTRA_BITS)) over the columns
+    x_j, both as mpf, with c = (span - 1) sqrt(2M) 2^-EXTRA_BITS (see the
+    module docstring).  Every r_jj is the norm of a column after its
+    projections, so the diagonal of R is positive.  A ratio of 10^-d says
+    that the column's rounding errors grew by 10^d relative to what is left
+    of it, whether the projections cancelled it, it reached Gram-Schmidt
+    smaller than the fixed-point grid resolves, or the span's factors grew
+    the rounding it carries.
     """
     F, F2 = bits, 2 * bits
     half2 = 1 << (F2 - 1)
     floor = 1 << (F - EXTRA_BITS)
+    if span > 1:
+        carried = (span - 1) * mpmath.sqrt(len(cols[0])) * mpf(2) ** growth
+        floor = max(floor, int(mpmath.ceil(mpmath.ldexp(carried, F - 2 * EXTRA_BITS))))
     log_r = mpf(0)
     kept_num, kept_den = 1, 1
     for j, x in enumerate(cols):
@@ -199,6 +248,11 @@ def orthonormalise(cols, bits):
 def logZ_cylinder(grid, digits=40):
     """log Z from the half-sum block carried through the columns.
 
+    X is orthonormalised before a column whose factors would take the growth
+    bound G of the span since the last Gram-Schmidt past EXTRA_BITS, and
+    after the last column; each Gram-Schmidt charges the certificate for
+    the rounding its span carried (see the module docstring).
+
     Raises PrecisionError when Gram-Schmidt or the corner determinant's
     elimination cancels more than GUARD_DIGITS digits, when a column reaches
     Gram-Schmidt so small that the fixed-point grid costs it as many, or
@@ -219,16 +273,25 @@ def logZ_cylinder(grid, digits=40):
         one = 1 << F
         cols = [[one if i % M == j else 0 for i in range(2 * M)]
                 for j in range(M)]          # X = E
-        log_r, kept = mpf(0), mpf(1)
+        steps = []                  # (sum log r_jj, ratio) of each Gram-Schmidt
+        span, growth = 0, 0.0       # columns and growth bound since the last
         # right to left: Vt_1, Vz_1, Vt_2, Vz_2, ..., Vz_{L-1}, Vt_L
         for l, f in enumerate(columns):
+            factors = [vertical_rows(f.t_plus, f.t_minus)]
             if l > 0:
                 prev = columns[l - 1]
-                cols = apply_rows(horizontal_rows(prev.z_plus, prev.z_minus), cols, F)
-            cols = apply_rows(vertical_rows(f.t_plus, f.t_minus), cols, F)
-            lr, k = orthonormalise(cols, F)
-            log_r += lr
-            kept = min(kept, k)
+                factors.insert(0, horizontal_rows(prev.z_plus, prev.z_minus))
+            g = sum(growth_bits(rows, F) for rows in factors)
+            if span and growth + g > EXTRA_BITS:
+                steps.append(orthonormalise(cols, F, span, growth))
+                span, growth = 0, 0.0
+            for rows in factors:
+                cols = apply_rows(rows, cols, F)
+            span += 1
+            growth += g
+        steps.append(orthonormalise(cols, F, span, growth))
+        log_r = sum((lr for lr, _ in steps), mpf(0))
+        kept = min(k for _, k in steps)
         C = mpmath.matrix(M, M)
         for j, x in enumerate(cols):
             for i in range(M):

@@ -108,7 +108,8 @@ def _K_set():
 
 
 def check_four_paths(digits):
-    """Oracle, Pfaffian, cylinder, and spectral log Z agree pairwise."""
+    """Oracle, Pfaffian, cylinder, and spectral log Z agree pairwise, and
+    long cylinders agree with the spectral route."""
     out = []
     tol = mpf(10) ** -10
     for (L, M) in [(2, 2), (2, 4), (3, 4), (4, 4), (4, 6)]:
@@ -138,6 +139,17 @@ def check_four_paths(digits):
                 cylinder.logZ_cylinder(grid, digits)]
         spread = (max(vals) - min(vals)) / abs(vals[0])
     out.append(_result("fourpath-disorder-3x4", spread, tol))
+    # cylinders long enough that Gram-Schmidt skips columns, against the
+    # spectral route at 2.5x the digits
+    worst = mpf(0)
+    ref_digits = 5 * digits // 2
+    for L, M, K in [(64, 16, "0.2"), (64, 16, "0.35"), (48, 12, "0.35")]:
+        grid = CouplingGrid.from_scalars(LatticeSpec(L, M), K, K, digits)
+        with working_dps(ref_digits):
+            hom = HomogeneousCouplings.from_K(K, K, ref_digits)
+            ref = spectral.logZ_spectral(L, M, hom.z, hom.t, ref_digits)
+            worst = max(worst, abs(cylinder.logZ_cylinder(grid, digits) - ref) / abs(ref))
+    out.append(_result("cylinder-long-vs-spectral", worst, mpf(10) ** -digits))
     return out
 
 
@@ -381,7 +393,7 @@ def check_bulk_surface(digits):
 
 
 CHECK_GROUPS = {
-    "fourpath": (check_four_paths, ["fourpath"]),
+    "fourpath": (check_four_paths, ["fourpath", "cylinder-long-vs-spectral"]),
     "spectral-identities": (check_spectral_identities,
                             ["charpoly-residual", "mode-ratio-identity",
                              "prodlambda", "t2-multiset"]),

@@ -311,17 +311,77 @@ def _spectral_logZ(L, M, K, digits):
         return logZ_spectral(L, M, hom.z, hom.t, digits)
 
 
+def _count_orthonormalise(monkeypatch):
+    """Wrap cylinder.orthonormalise; the returned list holds the span of
+    each call."""
+    calls = []
+    real = cylinder.orthonormalise
+
+    def counted(cols, bits, span=1, growth=0):
+        calls.append(span)
+        return real(cols, bits, span, growth)
+
+    monkeypatch.setattr(cylinder, "orthonormalise", counted)
+    return calls
+
+
 @pytest.mark.parametrize("L,M,K", [
+    (64, 16, "0.2"),
+    (64, 16, "0.35"),
     (48, 12, "0.35"),   # off by a relative 3.5e-28 before
     (32, 8, "1"),       # off by a relative 2e-23 before
     (56, 8, "1"),       # raised PrecisionError before
 ])
-def test_long_cylinder_matches_spectral(L, M, K):
+def test_long_cylinder_matches_spectral(L, M, K, monkeypatch):
+    # Gram-Schmidt runs once a span's growth bound fills the spare bits,
+    # not after every column
     digits = 40
+    calls = _count_orthonormalise(monkeypatch)
     grid = CouplingGrid.from_scalars(LatticeSpec(L, M), K, K, digits)
     a = logZ_cylinder(grid, digits)
+    assert len(calls) <= L / 3
     b = _spectral_logZ(L, M, K, 120)
     assert abs(a - b) < tol(2, digits) * abs(b)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_long_per_bond_cylinder_is_right_to_every_digit(seed, monkeypatch):
+    # spans of several columns on per-bond couplings, two of them strong:
+    # the growth bound, not the couplings, decides where Gram-Schmidt runs
+    digits = 40
+    rng = random.Random(seed)
+    L, M = 24, 4
+
+    def K():
+        return f"{math.exp(rng.uniform(math.log(0.05), 0)):.6g}"
+
+    Kh = [[K() if l < L - 1 else "0" for _ in range(M)] for l in range(L)]
+    Kv = [[K() for _ in range(M)] for _ in range(L)]
+    for _ in range(2):
+        Kv[rng.randrange(L)][rng.randrange(M)] = "5"
+    spec = LatticeSpec(L, M, PERIODIC)
+    calls = _count_orthonormalise(monkeypatch)
+    a = logZ_cylinder(CouplingGrid(spec, Kh, Kv, digits), digits)
+    assert len(calls) < L
+    assert max(calls) > 1
+    b = logZ_pfaffian(CouplingGrid(spec, Kh, Kv, 100), 100)
+    assert abs(a - b) < tol(-1, digits) * abs(b)
+
+
+def test_span_of_one_column_is_charged_as_before():
+    # the carried-rounding term is zero on a span of one column, whatever
+    # its growth bound, and charges a small column more on a long span
+    M = 3
+    rng = random.Random(4)
+    with working_dps(40):
+        F = mp.prec + 2 * EXTRA_BITS
+        block = _random_block(rng, M)
+        block[1] = [x * mpf("1e-9") for x in block[1]]
+        Xf = _fixed(block, F)
+        plain = orthonormalise([c[:] for c in Xf], F)
+        assert orthonormalise([c[:] for c in Xf], F, 1, 55.0) == plain
+        _, kept = orthonormalise([c[:] for c in Xf], F, 8, float(EXTRA_BITS))
+        assert kept < plain[1]
 
 
 def _right_or_raises(spec, Kh, Kv, digits=40):
