@@ -292,10 +292,7 @@ def logZ_cylinder(grid, digits=40):
         steps.append(orthonormalise(cols, F, span, growth))
         log_r = sum((lr for lr, _ in steps), mpf(0))
         kept = min(k for _, k in steps)
-        C = mpmath.matrix(M, M)
-        for j, x in enumerate(cols):
-            for i in range(M):
-                C[i, j] = mpf((x[i] + x[M + i], -F - 1))
+        C = [[mpf((x[i] + x[M + i], -F - 1)) for x in cols] for i in range(M)]
         det = log_abs_det(C)
         ld, s = det
         if s == 0:

@@ -1,20 +1,37 @@
 """Configurable-precision arithmetic, determinants, and bracketed root finding.
 
-All heavy computation in this package runs on mpmath reals at a per-call
-precision of ``digits`` significant decimal digits (default 40, minimum 15).
-A few guard digits are added internally so that results are honest at the
-requested precision.  Partition functions are always accumulated in the log
-domain.
+All computation in this package runs at a per-call precision of ``digits``
+significant decimal digits (default 40, minimum 15), on mpmath reals or, in
+the heavy kernels, on what lies beneath them: log_abs_det eliminates on raw
+mpf tuples with mpmath.libmp's rounded operations, and the residual
+determinant (like the cylinder's transfer product) on fixed-point Python
+ints.  A few guard digits are added internally so that results are honest
+at the requested precision.  Partition functions are always accumulated in
+the log domain.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import compress
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_pos,
+    mpf_sub,
+    to_fixed,
+)
 
 MIN_DIGITS = 15
 
@@ -101,9 +118,15 @@ class LogDet(tuple):
 def log_abs_det(A):
     """log|det A| and sign(det A) by LU elimination with partial pivoting.
 
+    A is a list of n rows of n real entries (int, float or mpf), or an
+    mpmath.matrix, which is read once through tolist().  An entry that is
+    complex, or a row of the wrong length, raises DomainError.  The input
+    is not modified, and an mpf entry wider than the working precision is
+    taken as it is, not rounded on input.
+
     Pivoting ties are broken by the lowest row index.  A singular matrix
-    yields (-inf, 0).  The input matrix is not modified.  The result unpacks
-    as that pair; its ``pivot_ratio`` is the smallest
+    yields (-inf, 0).  The result unpacks as that pair; its
+    ``pivot_ratio`` is the smallest
 
         |u_kk| / (|u_kk| + sum_{p<k} |l_kp u_pk|)
 
@@ -142,18 +165,33 @@ def log_abs_det(A):
     entries to the working precision, as the dense loop's x - f*0 does, so
     entries wider than the precision give the same bits too.  A matrix of
     bandwidth b costs O(n b^2) instead of O(n^3).
+
+    The loop runs on raw mpf tuples: each step is the mpmath.libmp call
+    that the mpf operator would make (mpf_mul, mpf_sub, mpf_div, mpf_abs,
+    ...) at the context's precision and rounding, so it rounds exactly as
+    the operators do, and the cancelled sum keeps the order
+    pval + (0 + sum |l u|) of Python's sum.
     """
-    n = A.rows
-    if A.cols != n:
+    if isinstance(A, mpmath.matrix):
+        A = A.tolist()
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise DomainError("log_abs_det requires a square matrix")
-    U = A.tolist()
-    lo, hi = [], []                # first and last nonzero column of each row
-    for row in U:
-        nz = [j for j, x in enumerate(row) if x]
-        lo.append(nz[0] if nz else n)
+    prec, rnd = mp._prec_rounding
+    U, lo, hi, row_scale = [], [], [], []
+    for row in A:
+        nz = list(compress(range(n), row))     # the nonzero columns
+        Ui = [fzero] * n
+        scale = fzero                          # the largest |entry|
+        for j in nz:
+            x = Ui[j] = _raw(row[j])
+            a = mpf_abs(x, prec, rnd)
+            if mpf_cmp(a, scale) > 0:
+                scale = a
+        U.append(Ui)
+        lo.append(nz[0] if nz else n)          # first and last nonzero column
         hi.append(nz[-1] if nz else -1)
-    row_scale = [max((abs(x) for x in row[a:b + 1]), default=mpf(0))
-                 for row, a, b in zip(U, lo, hi)]
+        row_scale.append(scale)
     # reach[k]: the lowest row whose first column is at most k; rows below
     # it keep their input place and a zero in column k
     reach = [-1] * n
@@ -162,50 +200,68 @@ def log_abs_det(A):
             reach[a] = i
     for k in range(1, n):
         reach[k] = max(reach[k], reach[k - 1])
-    tiny = n * mpmath.ldexp(1, SINGULAR_PIVOT_BITS - mp.prec)
+    tiny = from_man_exp(n, SINGULAR_PIVOT_BITS - prec)
     sign = 1
-    logdet = mpf(0)
-    ratio = mpf(1)
+    logdet = fzero
+    ratio = fone
     for k in range(n):
         rows = range(k + 1, reach[k] + 1)
-        piv, pval = k, abs(U[k][k])
+        piv, pval = k, mpf_abs(U[k][k], prec, rnd)
         for i in rows:
-            v = abs(U[i][k])
-            if v > pval:
-                piv, pval = i, v
+            x = U[i][k]
+            if x != fzero:
+                v = mpf_abs(x, prec, rnd)
+                if mpf_cmp(v, pval) > 0:
+                    piv, pval = i, v
         if piv != k:
             for a in (U, row_scale, lo, hi):
                 a[k], a[piv] = a[piv], a[k]
             sign = -sign
         Uk = U[k]
         # Uk[lo[k]:k] holds the multipliers l_kp of the pivot row
-        cancelled = pval + sum(abs(Uk[p] * U[p][k])
-                               for p in range(lo[k], k) if hi[p] >= k)
-        if pval <= tiny * max(row_scale[k], cancelled):
+        total = fzero
+        for p in range(lo[k], k):
+            if hi[p] >= k:
+                total = mpf_add(total, mpf_abs(mpf_mul(Uk[p], U[p][k], prec, rnd),
+                                               prec, rnd), prec, rnd)
+        cancelled = mpf_add(pval, total, prec, rnd)
+        s_k = cancelled if mpf_cmp(cancelled, row_scale[k]) > 0 else row_scale[k]
+        if mpf_cmp(pval, mpf_mul(tiny, s_k, prec, rnd)) <= 0:
             return LogDet(mpf("-inf"), 0, mpf(0))
-        ratio = min(ratio, pval / cancelled)
+        q = mpf_div(pval, cancelled, prec, rnd)
+        if mpf_cmp(q, ratio) < 0:
+            ratio = q
         akk = Uk[k]
-        if mpmath.im(akk) == 0 and mpmath.re(akk) < 0:
+        if akk[0]:                              # the sign bit of a nonzero pivot
             sign = -sign
-        logdet += mpmath.log(abs(akk))
+        logdet = mpf_add(logdet, mpf_log(pval, prec, rnd), prec, rnd)
         hk = hi[k]
-        cols = [(j, Uk[j]) for j in range(k + 1, hk + 1) if Uk[j]]
+        cols = [(j, Uk[j]) for j in range(k + 1, hk + 1) if Uk[j] != fzero]
         for i in rows:
             Ui = U[i]
-            if not Ui[k]:
+            x = Ui[k]
+            if x == fzero:
                 continue
-            f = Ui[k] / akk
-            Ui[k] = f
+            f = Ui[k] = mpf_div(x, akk, prec, rnd)
             for j, u in cols:
-                Ui[j] -= f * u
+                Ui[j] = mpf_sub(Ui[j], mpf_mul(f, u, prec, rnd), prec, rnd)
             if k == lo[i]:
                 # first update of row i: round what the dense loop rounds
                 for j in range(k + 1, hi[i] + 1):
-                    if not Uk[j]:
-                        Ui[j] = +Ui[j]
+                    if Uk[j] == fzero:
+                        Ui[j] = mpf_pos(Ui[j], prec, rnd)
             if hk > hi[i]:
                 hi[i] = hk
-    return LogDet(logdet, sign, ratio)
+    return LogDet(mp.make_mpf(logdet), sign, mp.make_mpf(ratio))
+
+
+def _raw(x):
+    """The _mpf_ tuple of a real matrix entry, exact and not re-rounded."""
+    if type(x) is not mpf:
+        x = mp.convert(x)               # an int or a float converts exactly
+        if not hasattr(x, "_mpf_"):
+            raise DomainError("log_abs_det requires a real matrix")
+    return x._mpf_
 
 
 def log_det_bipartite_cauchy(c, w, gamma_hat):

@@ -9,15 +9,14 @@ in the grid.
 The nodes are ordered site-major, node b of site (l, m) at 4 (l M + m) + b,
 so every nonzero entry has |i - j| <= 4M + 1: the site's own 4 x 4 block,
 the vertical bond to the next site (5 apart, 4M - 5 on the wrap) and the
-horizontal bond to the next column (4M + 1 apart).  log_abs_det follows
-that band, and partial pivoting at most doubles its upper half, so the
-elimination costs O(LM (4M)^2) operations instead of the O((4LM)^3) of a
-dense one.  det A does not depend on the node order.
+horizontal bond to the next column (4M + 1 apart).  build_A returns the
+matrix as a list of rows, and log_abs_det follows their band; partial
+pivoting at most doubles its upper half, so the elimination costs
+O(LM (4M)^2) operations instead of the O((4LM)^3) of a dense one.  det A
+does not depend on the node order.
 """
 
 from __future__ import annotations
-
-import mpmath
 
 from .lattice import ReducedCouplings, log_C0
 from .numerics import ConsistencyError, log_abs_det, working_dps
@@ -29,13 +28,16 @@ _SKELETON = {(0, 1): 1, (0, 2): -1, (0, 3): -1, (1, 2): 1, (1, 3): -1, (2, 3): 1
 
 
 def build_A(grid, digits=40):
-    """Assemble the antisymmetric decoration matrix in site-major order.
+    """The antisymmetric decoration matrix in site-major order, as rows.
 
-    Node b of site (l, m) is 4 (l M + m) + b.  Each site contributes its
-    4 x 4 skeleton, the bond up to (l, m + 1) joins its node 0 to that
-    site's node 1 (on the wrap, (l, 0) with a minus sign), and the bond to
-    (l + 1, m) joins its node 2 to that site's node 3.  Antisymmetry is
-    asserted over the stored entries.
+    The result is a list of 4LM rows of 4LM entries, each an int (the
+    skeleton's +-1, and 0 off the band) or an mpf at the working
+    precision; log_abs_det takes it as it is.  Node b of site (l, m) is
+    4 (l M + m) + b.  Each site contributes its 4 x 4 skeleton, the bond
+    up to (l, m + 1) joins its node 0 to that site's node 1 (on the wrap,
+    (l, 0) with a minus sign), and the bond to (l + 1, m) joins its node 2
+    to that site's node 3.  Antisymmetry is asserted over the stored
+    entries.
     """
     with working_dps(digits):
         red = ReducedCouplings.from_grid(grid)
@@ -58,11 +60,11 @@ def build_A(grid, digits=40):
                 if l + 1 < L:
                     put(s + 2, s + 4 * M + 3, red.z[l][m])
         n = 4 * grid.spec.nsites
-        A = mpmath.matrix(n, n)
+        A = [[0] * n for _ in range(n)]
         for (i, j), v in entries.items():
             if i == j or v != -entries[j, i]:
                 raise ConsistencyError("decoration matrix is not antisymmetric")
-            A[i, j] = v
+            A[i][j] = v
         return A
 
 

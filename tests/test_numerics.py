@@ -213,6 +213,36 @@ def test_log_abs_det_pivot_ratio():
 def test_log_abs_det_requires_square():
     with pytest.raises(DomainError):
         log_abs_det(mpmath.zeros(2, 3))
+    with pytest.raises(DomainError):
+        log_abs_det([[1, 2], [3, 4, 5]])
+    with pytest.raises(DomainError):
+        log_abs_det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_log_abs_det_reads_rows_and_matrices_alike():
+    # a list of rows (ints, floats and mpf, one of them wider than the
+    # precision) gives the bits of the same entries as an mpmath.matrix
+    with mp.workprec(300):
+        wide = mpf(1) / 3
+    rows = [[2, 0, mpf("0.3"), 0],
+            [1, wide, 0, -1],
+            [0, 0.5, 7, mpf(-2) / 3],
+            [-3, 0, 1, 4]]
+    with working_dps(40):
+        a = log_abs_det(rows)
+        b = log_abs_det(mpmath.matrix(rows))
+        assert a[1] != 0
+        assert (a[0]._mpf_, a[1], a.pivot_ratio._mpf_) == \
+            (b[0]._mpf_, b[1], b.pivot_ratio._mpf_)
+        assert rows[1][1] is wide                  # the input is not modified
+
+
+def test_log_abs_det_rejects_complex_entries():
+    with working_dps(40):
+        with pytest.raises(DomainError):
+            log_abs_det([[1, 0], [0, mpmath.mpc(1, 2)]])
+        with pytest.raises(DomainError):
+            log_abs_det(mpmath.matrix([[1, 0], [mpmath.mpc(0, 1), 1]]))
 
 
 @settings(max_examples=25, deadline=None)

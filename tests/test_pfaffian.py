@@ -6,9 +6,10 @@ from mpmath import mpf
 
 from isingrect.brute_force import brute_force_logZ
 from isingrect.lattice import PERIODIC, CouplingGrid, LatticeSpec, ReducedCouplings
-from isingrect.numerics import DomainError, log_abs_det, working_dps
+from isingrect.numerics import DomainError, log_abs_det, nstr, working_dps
 from isingrect.pfaffian import build_A, logZ_pfaffian
 from references import log_det_reduced, schur_check
+from test_numerics import _plain_elimination
 
 ORACLE_TOL = mpf("1e-30")
 
@@ -27,9 +28,9 @@ def test_antisymmetry_is_exact():
     grid = CouplingGrid.from_scalars(LatticeSpec(2, 2), "0.31", "0.44")
     A = build_A(grid)
     with working_dps(40):    # negation must not re-round the entries
-        for i in range(A.rows):
-            for j in range(A.rows):
-                assert A[i, j] == -A[j, i]
+        for i in range(len(A)):
+            for j in range(len(A)):
+                assert A[i][j] == -A[j][i]
 
 
 def test_site_major_band():
@@ -38,12 +39,12 @@ def test_site_major_band():
     grid = _random_grid(3, 4, seed=7, periodic=True)
     A = build_A(grid)
     M = grid.spec.M
-    width = max(abs(i - j) for i in range(A.rows) for j in range(A.cols) if A[i, j])
+    width = max(abs(i - j) for i in range(len(A)) for j in range(len(A)) if A[i][j])
     assert width == 4 * M + 1
     with working_dps(40):
-        for i in range(A.rows):
-            for j in range(A.cols):
-                assert A[i, j] == -A[j, i]
+        for i in range(len(A)):
+            for j in range(len(A)):
+                assert A[i][j] == -A[j][i]
 
 
 def test_node_order_leaves_det():
@@ -54,10 +55,46 @@ def test_node_order_leaves_det():
     N = grid.spec.nsites
     order = [4 * site + b for b in range(4) for site in range(N)]
     with working_dps(40):
-        B = mpmath.matrix([[A[i, j] for j in order] for i in order])
+        B = mpmath.matrix([[A[i][j] for j in order] for i in order])
         (la, sa), (lb, sb) = log_abs_det(A), log_abs_det(B)
         assert sa == sb == 1
         assert abs(la - lb) < mpf("1e-45") * (1 + abs(la))
+
+
+@pytest.mark.parametrize("grid", [
+    _random_grid(3, 4, seed=3, periodic=True),          # 48 x 48
+    _random_grid(2, 4, seed=5, lo=-70, hi=70),           # 32 x 32
+], ids=["3x4-periodic", "2x4-negative"])
+def test_log_abs_det_of_kasteleyn_matrix_is_plain_elimination(grid):
+    # the banded kernel on build_A's rows gives the bits of the dense loop:
+    # log, sign and pivot ratio
+    A = build_A(grid)
+    with working_dps(40):
+        det = log_abs_det(A)
+        ref = _plain_elimination(mpmath.matrix(A))
+    assert det[1] == 1
+    assert (det[0], det[1], det.pivot_ratio) == (ref[0], ref[1], ref.pivot_ratio)
+
+
+def _decimal_grid(L, M, bc, seed):
+    """Per-bond couplings with six decimals, drawn from [0.05, 0.5)."""
+    rng = random.Random(seed)
+    periodic = bc == PERIODIC
+    Kh = [[f"0.{rng.randint(50000, 499999):06d}" if l < L - 1 else "0" for _ in range(M)]
+          for l in range(L)]
+    Kv = [[f"0.{rng.randint(50000, 499999):06d}" if m < M - 1 or periodic else "0"
+           for m in range(M)] for _ in range(L)]
+    return CouplingGrid(LatticeSpec(L, M, bc), Kh, Kv)
+
+
+@pytest.mark.parametrize("L,M,bc,seed,printed", [
+    (6, 6, "open", 61, "27.66096483713668926956470107129029651935"),
+    (6, 6, PERIODIC, 62, "27.34068647857431128325376893143118557223"),
+    (8, 8, "open", 81, "49.42938904076184573205045433272141760515"),
+])
+def test_printed_digits_are_golden(L, M, bc, seed, printed):
+    # the 40 digits that the dense matrix elimination printed for these grids
+    assert nstr(logZ_pfaffian(_decimal_grid(L, M, bc, seed), 40), 40) == printed
 
 
 def test_free_limit():
@@ -106,7 +143,7 @@ def test_reduced_minor_formula_matches_dense():
         sub = mpmath.matrix(3 * N, 3 * N)
         for a, i in enumerate(keep):
             for b, j in enumerate(keep):
-                sub[a, b] = A[i, j]
+                sub[a, b] = A[i][j]
         ld, s = log_abs_det(sub)
         lg, sf = log_det_reduced(grid, red)
         assert s == sf == 1
