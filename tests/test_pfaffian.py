@@ -76,25 +76,16 @@ def test_log_abs_det_of_kasteleyn_matrix_is_plain_elimination(grid):
     assert (det[0], det[1], det.pivot_ratio) == (ref[0], ref[1], ref.pivot_ratio)
 
 
-def _decimal_grid(L, M, bc, seed):
-    """Per-bond couplings with six decimals, drawn from [0.05, 0.5)."""
-    rng = random.Random(seed)
-    periodic = bc == PERIODIC
-    Kh = [[f"0.{rng.randint(50000, 499999):06d}" if l < L - 1 else "0" for _ in range(M)]
-          for l in range(L)]
-    Kv = [[f"0.{rng.randint(50000, 499999):06d}" if m < M - 1 or periodic else "0"
-           for m in range(M)] for _ in range(L)]
-    return CouplingGrid(LatticeSpec(L, M, bc), Kh, Kv)
-
-
-@pytest.mark.parametrize("L,M,bc,seed,printed", [
-    (6, 6, "open", 61, "27.66096483713668926956470107129029651935"),
-    (6, 6, PERIODIC, 62, "27.34068647857431128325376893143118557223"),
-    (8, 8, "open", 81, "49.42938904076184573205045433272141760515"),
+@pytest.mark.parametrize("L,M,periodic,seed,printed", [
+    (6, 6, False, 61, "33.21998071637803615298972486530427866282"),
+    (6, 6, True, 62, "34.77947087442330488366407631565362509806"),
+    (8, 8, False, 81, "59.89518355172419285242131741097569685072"),
 ])
-def test_printed_digits_are_golden(L, M, bc, seed, printed):
-    # the 40 digits that the dense matrix elimination printed for these grids
-    assert nstr(logZ_pfaffian(_decimal_grid(L, M, bc, seed), 40), 40) == printed
+def test_printed_digits_are_golden(L, M, periodic, seed, printed):
+    # the 40 digits that the elimination through mpf operators on an
+    # mpmath.matrix printed for these grids
+    grid = _random_grid(L, M, seed, periodic)
+    assert nstr(logZ_pfaffian(grid, 40), 40) == printed
 
 
 def test_free_limit():
