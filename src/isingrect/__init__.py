@@ -15,7 +15,6 @@ from .lattice import (
     CouplingGrid,
     HomogeneousCouplings,
     LatticeSpec,
-    ReducedCouplings,
     critical_coupling_isotropic,
     dual,
     pm,
@@ -55,7 +54,7 @@ __all__ = [
     "brute_force_logZ", "logZ_pfaffian", "build_A", "logZ_cylinder", "build_factors",
     "logZ_spectral", "find_modes", "char_poly", "residual_system", "log_zsres",
     # types
-    "LatticeSpec", "CouplingGrid", "ReducedCouplings", "HomogeneousCouplings",
+    "LatticeSpec", "CouplingGrid", "HomogeneousCouplings",
     "OracleResult", "Mode", "Spectrum", "ResidualSystem", "EffModel",
     "PeriodicCoeffMatrix", "FreeEnergyPieces", "ThermoReport", "CornerExtraction",
     # errors

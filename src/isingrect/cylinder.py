@@ -7,9 +7,11 @@ partition function is
 
     Z = sqrt(C2t * det C),   C = E^T Vt_L Vz_{L-1} Vt_{L-1} ... Vz_1 Vt_1 E / 2,
 
-with E = [I; I] (2M x M) and C2t = 2^((L+1)M) prod 1/z_minus.  The last
-column's horizontal factor is the identity (z = 1 formally), and open
-vertical boundaries correspond to t_{ell,M} = 1.
+with E = [I; I] (2M x M) and C2t = 2^((L+1)M) prod_{ell<L} 1/z_minus.  The
+last column's horizontal factor is the identity (z = 1 formally), and open
+vertical boundaries correspond to t_{ell,M} = 1.  Each 1/z_minus is
+-sinh 2Kh, so log|C2t| is summed from the log sinh 2Kh that build_factors
+takes with the coefficients.
 
 The 2M x 2M product is never formed.  Only the 2M x M block X that the
 corner reads is carried: it starts at E, and each factor acts on it as row
@@ -90,7 +92,6 @@ from operator import mul
 import mpmath
 from mpmath import mp, mpf
 
-from .lattice import log_C2_dagger
 from .numerics import (
     GUARD_DIGITS,
     ConsistencyError,
@@ -113,30 +114,35 @@ def to_fixed(x, bits):
 @dataclass
 class ColumnFactors:
     """Coefficients of one column's factors, one entry per row m, as ints
-    scaled by 2^bits."""
+    scaled by 2^bits, and the column's terms of log|C2t| as mpf."""
 
     bits: int
     z_plus: tuple    # coth 2Kh; 1 on the last column
     z_minus: tuple   # -1/sinh 2Kh; 0 on the last column
     t_plus: tuple    # cosh 2Kv
     t_minus: tuple   # -sinh 2Kv; 0 where the vertical bond is absent
+    log_sinh: tuple  # log sinh 2Kh = log|1/z_minus|; empty on the last column
 
 
 def build_factors(grid, digits=40):
     """The L columns' coefficients; the last column's Vz uses the formal z = 1.
 
     The closed forms are evaluated once per distinct coupling and rounded to
-    F = prec + 2 EXTRA_BITS bits at the working precision.
+    F = prec + 2 EXTRA_BITS bits at the working precision; sinh 2Kh is taken
+    once for z_minus and log|C2t|.  A zero horizontal coupling on a column
+    ell < L raises DomainError, since C2t holds 1/z_minus; so does any
+    negative coupling.
     """
     with working_dps(digits):
         F = mp.prec + 2 * EXTRA_BITS
         L, M = grid.spec.L, grid.spec.M
         horizontal, vertical = {}, {}
 
-        def h_pair(K):
+        def h_triple(K):
             if K not in horizontal:
+                s = mpmath.sinh(2 * K)
                 horizontal[K] = (to_fixed(mpmath.coth(2 * K), F),
-                                 to_fixed(-1 / mpmath.sinh(2 * K), F))
+                                 to_fixed(-1 / s, F), mpmath.log(s))
             return horizontal[K]
 
         def v_pair(K):
@@ -148,18 +154,37 @@ def build_factors(grid, digits=40):
         columns = []
         for l in range(L):
             Kh, Kv = grid.Kh[l], grid.Kv[l]
-            if any(K < 0 for K in Kv) or (l < L - 1 and any(K <= 0 for K in Kh)):
+            if l < L - 1 and any(K == 0 for K in Kh):
+                raise DomainError(
+                    "the cylinder route needs nonzero horizontal couplings on "
+                    "columns ell < L (the constant C2t contains 1/z_minus)"
+                )
+            if any(K < 0 for K in Kv) or (l < L - 1 and any(K < 0 for K in Kh)):
                 raise DomainError(
                     "transfer factors require z and t in (0, 1]; "
                     "couplings must be ferromagnetic and finite"
                 )
             if l < L - 1:
-                zp, zm = zip(*map(h_pair, Kh))
+                zp, zm, logs = zip(*map(h_triple, Kh))
             else:
-                zp, zm = (1 << F,) * M, (0,) * M
+                zp, zm, logs = (1 << F,) * M, (0,) * M, ()
             tp, tm = zip(*map(v_pair, Kv))
-            columns.append(ColumnFactors(F, zp, zm, tp, tm))
+            columns.append(ColumnFactors(F, zp, zm, tp, tm, logs))
         return columns
+
+
+def log_C2_dagger(columns):
+    """log|C2t| = (L + 1) M log 2 + sum over the bonds ell < L of
+    log sinh 2Kh, in (ell, m) order, from build_factors' columns.
+
+    C2t = 2^((L+1)M) prod 1/z_minus = C0 C1 with 1/z_minus = -sinh 2Kh, so
+    its sign is (-1)^((L-1)M).
+    """
+    total = (len(columns) + 1) * len(columns[0].t_plus) * mpmath.log(mpf(2))
+    for f in columns:
+        for x in f.log_sinh:
+            total += x
+    return total
 
 
 # A factor acts on the rows of X as a list of 2M tuples (a, i, b, j): new
@@ -259,14 +284,7 @@ def logZ_cylinder(grid, digits=40):
     when a pivot or an r_jj cancels to zero.  The cancellation does not
     depend on the precision, so raising it does not help.
     """
-    L, M = grid.spec.L, grid.spec.M
-    for l in range(L - 1):
-        for m in range(M):
-            if grid.Kh[l][m] == 0:
-                raise DomainError(
-                    "the cylinder route needs nonzero horizontal couplings on "
-                    "columns ell < L (the constant C2t contains 1/z_minus)"
-                )
+    M = grid.spec.M
     with working_dps(digits):
         columns = build_factors(grid, digits)
         F = columns[0].bits
@@ -310,8 +328,8 @@ def logZ_cylinder(grid, digits=40):
                 f"{mpmath.nstr(-mpmath.log10(ratio), 3)} digits to cancellation, "
                 f"more than its {GUARD_DIGITS} guard digits"
             )
-        lg2, s2 = log_C2_dagger(grid)
-        if M % 2 == 0 and s * s2 < 0:
+        # C2t > 0 for even M; for odd M the even-M sign bookkeeping does
+        # not apply, and Z > 0 fixes the sign
+        if M % 2 == 0 and s < 0:
             raise ConsistencyError("C2t * det corner came out negative")
-        # odd M: the even-M sign bookkeeping does not apply; Z > 0 fixes it
-        return (lg2 + ld + log_r) / 2
+        return (log_C2_dagger(columns) + ld + log_r) / 2

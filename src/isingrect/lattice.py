@@ -1,4 +1,4 @@
-"""Lattice geometry, reduced couplings, duality, and the global constants.
+"""Lattice geometry, per-bond and homogeneous couplings, and duality.
 
 Conventions: the lattice has L columns and M rows; site (ell, m) with
 ell = 1..L, m = 1..M.  Horizontal bonds couple (ell, m)-(ell+1, m) and carry
@@ -171,35 +171,15 @@ class CouplingGrid:
 
 
 @dataclass(frozen=True)
-class ReducedCouplings:
-    """tanh-couplings z, zv and the dual t = (1 - zv)/(1 + zv), per bond."""
-
-    z: tuple       # horizontal tanh couplings, z[l][m], z[L-1][.] = 0
-    zv: tuple      # vertical tanh couplings
-    t: tuple       # duals of zv; t = 1 where zv = 0
-
-    @classmethod
-    def from_grid(cls, grid):
-        z = tuple(tuple(mpmath.tanh(K) for K in row) for row in grid.Kh)
-        zv = tuple(tuple(mpmath.tanh(K) for K in row) for row in grid.Kv)
-        t = tuple(tuple(dual(x) for x in row) for row in zv)
-        return cls(z, zv, t)
-
-
-@dataclass(frozen=True)
 class HomogeneousCouplings:
     """Homogeneous anisotropic couplings for the open-open rectangle.
 
     z is the bulk horizontal tanh coupling (columns ell < L), t the dual of
-    the bulk vertical tanh coupling (rows m < M).  The formal boundary values
-    z = 1 on the last column and t = 1 on the last row are stored explicitly
-    so the transfer-matrix formulas can be used verbatim.
+    the bulk vertical tanh coupling (rows m < M).
     """
 
     z: mpf
     t: mpf
-    z_boundary: mpf = mpf(1)
-    t_boundary: mpf = mpf(1)
 
     def __post_init__(self):
         if not (0 < self.z < 1 and 0 < self.t < 1):
@@ -224,57 +204,3 @@ class HomogeneousCouplings:
                 f"at {digits} digits"
             )
         return cls(z, t)
-
-
-def log_C0(grid):
-    """log of the Pfaffian prefactor 4^(LM) prod cosh^2 Kh prod cosh^2 Kv."""
-    L, M = grid.spec.L, grid.spec.M
-    total = L * M * mpmath.log(mpf(4))
-    for l in range(L - 1):
-        for m in range(M):
-            total += 2 * mpmath.log(mpmath.cosh(grid.Kh[l][m]))
-    for l in range(L):
-        for m in range(M):
-            total += 2 * mpmath.log(mpmath.cosh(grid.Kv[l][m]))
-    return total
-
-
-def log_C2_dagger(grid):
-    """(log|C2t|, sign): C2t = C0 C1 = 2^((L+1)M) prod_{ell<L} 1/z_minus.
-
-    z_minus = -1/sinh 2Kh in closed form, so 1/z_minus keeps its digits at
-    large Kh, where z = tanh Kh rounds to 1.
-    """
-    L, M = grid.spec.L, grid.spec.M
-    total = (L + 1) * M * mpmath.log(mpf(2))
-    sign = 1
-    logs = {}    # log|sinh 2Kh| once per distinct coupling
-    for l in range(L - 1):
-        for m in range(M):
-            Kh = grid.Kh[l][m]
-            if Kh == 0:
-                raise DomainError(
-                    "C2 requires 0 < |z| < 1 on every interior column (1/z_minus appears)"
-                )
-            if Kh not in logs:
-                logs[Kh] = mpmath.log(abs(mpmath.sinh(2 * Kh)))
-            total += logs[Kh]
-            if Kh > 0:
-                sign = -sign
-    return total, sign
-
-
-def log_C3(hom, L, M):
-    """(log|C3|, sign) of C3 = z^M (2/z_minus)^(LM) (2/(t_minus z_minus))^(M^2/2).
-
-    L may be real; the sign is only meaningful for integer L*M.
-    """
-    zp, zm = pm(hom.z)
-    tp, tm = pm(hom.t)
-    L = to_mpf(L)
-    lg = M * mpmath.log(hom.z) + L * M * mpmath.log(abs(2 / zm)) \
-        + (mpf(M) ** 2 / 2) * mpmath.log(2 / (tm * zm))
-    sign = 1
-    if zm < 0 and (L * M) % 2 == 1:
-        sign = -1
-    return lg, sign

@@ -18,7 +18,9 @@ does not depend on the node order.
 
 from __future__ import annotations
 
-from .lattice import ReducedCouplings, log_C0
+import mpmath
+from mpmath import mpf
+
 from .numerics import ConsistencyError, log_abs_det, working_dps
 
 
@@ -34,13 +36,12 @@ def build_A(grid, digits=40):
     skeleton's +-1, and 0 off the band) or an mpf at the working
     precision; log_abs_det takes it as it is.  Node b of site (l, m) is
     4 (l M + m) + b.  Each site contributes its 4 x 4 skeleton, the bond
-    up to (l, m + 1) joins its node 0 to that site's node 1 (on the wrap,
-    (l, 0) with a minus sign), and the bond to (l + 1, m) joins its node 2
-    to that site's node 3.  Antisymmetry is asserted over the stored
-    entries.
+    up to (l, m + 1) joins its node 0 to that site's node 1 with weight
+    tanh Kv (on the wrap, (l, 0) with a minus sign), and the bond to
+    (l + 1, m) joins its node 2 to that site's node 3 with weight tanh Kh.
+    Antisymmetry is asserted over the stored entries.
     """
     with working_dps(digits):
-        red = ReducedCouplings.from_grid(grid)
         L, M = grid.spec.L, grid.spec.M
         entries = {}
 
@@ -54,11 +55,11 @@ def build_A(grid, digits=40):
                 for (a, b), v in _SKELETON.items():
                     put(s + a, s + b, v)
                 if m + 1 < M:
-                    put(s, s + 5, red.zv[l][m])
+                    put(s, s + 5, mpmath.tanh(grid.Kv[l][m]))
                 else:
-                    put(s, 4 * l * M + 1, -red.zv[l][m])
+                    put(s, 4 * l * M + 1, -mpmath.tanh(grid.Kv[l][m]))
                 if l + 1 < L:
-                    put(s + 2, s + 4 * M + 3, red.z[l][m])
+                    put(s + 2, s + 4 * M + 3, mpmath.tanh(grid.Kh[l][m]))
         n = 4 * grid.spec.nsites
         A = [[0] * n for _ in range(n)]
         for (i, j), v in entries.items():
@@ -66,6 +67,19 @@ def build_A(grid, digits=40):
                 raise ConsistencyError("decoration matrix is not antisymmetric")
             A[i][j] = v
         return A
+
+
+def log_C0(grid):
+    """log of the Pfaffian prefactor 4^(LM) prod cosh^2 Kh prod cosh^2 Kv."""
+    L, M = grid.spec.L, grid.spec.M
+    total = L * M * mpmath.log(mpf(4))
+    for l in range(L - 1):
+        for m in range(M):
+            total += 2 * mpmath.log(mpmath.cosh(grid.Kh[l][m]))
+    for l in range(L):
+        for m in range(M):
+            total += 2 * mpmath.log(mpmath.cosh(grid.Kv[l][m]))
+    return total
 
 
 def logZ_pfaffian(grid, digits=40):

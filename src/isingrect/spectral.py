@@ -40,7 +40,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
-from .lattice import HomogeneousCouplings, log_C3, pm
+from .lattice import pm
 from .numerics import (
     GUARD_DIGITS,
     ConsistencyError,
@@ -426,8 +426,19 @@ def _soft_ratio(md, z, t, M):
     return -vals[1] ** 2 / (8 * t * z * mpmath.cosh(md.gamma_hat / 2) ** 2 * S)
 
 
-def log_strip_part(spectrum, L, rs=None, digits=None):
-    """log of the infinite-strip factor [C3 d_oe^2 prod_mu N_mu]^(1/2).
+def log_C3(z, zm, tm, L, M):
+    """log C3, C3 = z^M (2/z_minus)^(LM) (2/(t_minus z_minus))^(M^2/2).
+
+    zm and tm are the negative z_minus and t_minus of 0 < z, t < 1, so C3 is
+    positive for integer L and even M.
+    """
+    return M * mpmath.log(z) + L * M * mpmath.log(abs(2 / zm)) \
+        + (mpf(M) ** 2 / 2) * mpmath.log(2 / (tm * zm))
+
+
+def log_strip_part(spectrum, rs):
+    """log of the infinite-strip factor [C3 d_oe^2 prod_mu N_mu]^(1/2) at
+    the strip length of the residual system rs.
 
     The per-mode factor is
         N_mu = ((t+ z+ - c)^2 - t-^2 z-^2)/(M lamm_hat^2 + z+ c - t+)
@@ -440,18 +451,12 @@ def log_strip_part(spectrum, L, rs=None, digits=None):
     Signs are tracked and the bracket is required to be positive for
     integer L (positivity of Z^2 / det(1+Y)^2).
     """
-    digits = digits or spectrum.digits
-    M, z, t = spectrum.M, spectrum.z, spectrum.t
-    with working_dps(digits):
-        L = to_mpf(L)
-        if rs is None:
-            rs = residual_system(spectrum, L, digits)
+    M, z, t, L = spectrum.M, spectrum.z, spectrum.t, rs.L
+    with working_dps(spectrum.digits):
         zp, zm = pm(z)
         tp, tm = pm(t)
-        hom = HomogeneousCouplings(z=z, t=t)
-        lc3, s3 = log_C3(hom, L, M)
-        lg = lc3 + 2 * rs.log_d_oe
-        sign = s3
+        lg = log_C3(z, zm, tm, L, M) + 2 * rs.log_d_oe
+        sign = 1
         for mu, md in enumerate(spectrum.modes):
             lamm_hat = mpmath.sinh(md.gamma_hat)
             # (t+ z+ - c)^2 - (t- z-)^2 without the cancellation at small phi
@@ -485,4 +490,4 @@ def logZ_spectral(L, M, z, t, digits=40):
         z, t = to_mpf(z), to_mpf(t)
         spectrum = find_modes(z, t, M, digits)
         rs = residual_system(spectrum, L, digits)
-        return log_strip_part(spectrum, L, rs, digits) + log_zsres(rs)
+        return log_strip_part(spectrum, rs) + log_zsres(rs)

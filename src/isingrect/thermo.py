@@ -56,7 +56,7 @@ def report(L, M, Kh, Kv, digits=40):
         spectrum = find_modes(hom.z, hom.t, M, digits)
         rs = residual_system(spectrum, L, digits)
         lz_res = log_zsres(rs)
-        logZ = log_strip_part(spectrum, L, rs, digits) + lz_res
+        logZ = log_strip_part(spectrum, rs) + lz_res
         F = -logZ
         F_strip_res = -lz_res
         return ThermoReport(
@@ -112,7 +112,7 @@ def extract_corner(K, sizes, digits=40, apply_errata=True):
                 raise DomainError("corner extraction sizes must be even")
             spectrum = find_modes(hom.z, hom.t, s, digits)
             rs = residual_system(spectrum, s, digits)
-            F_strip = -log_strip_part(spectrum, s, rs, digits)
+            F_strip = -log_strip_part(spectrum, rs)
             consts.append(F_strip - s * s * pieces.f_b - 2 * s * pieces.f_s)
         if len(consts) >= 3:
             c1, c2, c3 = consts[-3:]

@@ -384,7 +384,7 @@ def check_bulk_surface(digits):
         s = 48
         sp = spectral.find_modes(hom.z, hom.t, s, digits)
         rs = spectral.residual_system(sp, s, digits)
-        F_strip = -spectral.log_strip_part(sp, s, rs, digits)
+        F_strip = -spectral.log_strip_part(sp, rs)
         fb_est = (F_strip - 2 * s * pieces.f_s - pieces.f_c) / (s * s)
         fs_est = (F_strip - s * s * pieces.f_b - pieces.f_c) / (2 * s)
         out.append(_result("bulk-limit-48", abs(fb_est - pieces.f_b), mpf(10) ** -8))

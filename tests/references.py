@@ -3,9 +3,10 @@
 Each one checks a route of the package by a second, independent formula:
 the block-Schur factorization of the Pfaffian matrix, the eigenvector
 matrix of the open strip with the det-Mx route built on it, and the global
-constants C1 and C2 with the identity C2t = C0 C1.  None of them is called
-by a route.  Imported by the test modules as `references`; pytest does not
-collect it.
+constants C1 and C2 with the identity C2t = C0 C1, which checks the C0 of
+the Pfaffian route against the C2t of the cylinder route.  None of them is
+called by a route.  Imported by the test modules as `references`; pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -13,17 +14,9 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp, mpc, mpf
 
+from isingrect import cylinder
 from isingrect.cli import homogeneous_from_grid
-from isingrect.lattice import (
-    CouplingGrid,
-    LatticeSpec,
-    ReducedCouplings,
-    dual,
-    log_C0,
-    log_C2_dagger,
-    log_C3,
-    pm,
-)
+from isingrect.lattice import CouplingGrid, LatticeSpec, dual, pm
 from isingrect.numerics import (
     ConsistencyError,
     DomainError,
@@ -33,8 +26,14 @@ from isingrect.numerics import (
     to_mpf,
     working_dps,
 )
-from isingrect.pfaffian import build_A
-from isingrect.spectral import find_modes
+from isingrect.pfaffian import build_A, log_C0
+from isingrect.spectral import find_modes, log_C3
+
+
+def tanh_rows(rows):
+    """tanh K for each coupling of the rows of Kh or Kv."""
+    return tuple(tuple(mpmath.tanh(K) for K in row) for row in rows)
+
 
 # --- block-Schur factorization of the Pfaffian matrix -----------------------
 
@@ -54,8 +53,9 @@ def _shift_wrap(n):
     return H
 
 
-def _schur_blocks(grid, red):
-    """Explicit diagonal/off-diagonal blocks of the LM x LM Schur complement."""
+def _schur_blocks(grid, z, zv):
+    """Explicit diagonal/off-diagonal blocks of the LM x LM Schur complement,
+    from the tanh couplings z and zv."""
     L, M = grid.spec.L, grid.spec.M
     one = mpmath.eye(M)
     Hm = _shift_wrap(M)
@@ -66,7 +66,7 @@ def _schur_blocks(grid, red):
             for mm in range(M):
                 v = Hm[m, mm]
                 if v:
-                    Z[m, mm] = red.zv[l][m] * v
+                    Z[m, mm] = zv[l][m] * v
         ZT = Z.T
         for s, store in ((1, A_plus), (-1, A_minus)):
             diff = (one + s * ZT) ** -1 - (one + s * Z) ** -1
@@ -80,32 +80,33 @@ def _schur_blocks(grid, red):
         D_blocks.append(D)
         zdiag = mpmath.matrix(M, M)
         for m in range(M):
-            zdiag[m, m] = red.z[l][m]
+            zdiag[m, m] = z[l][m]
         B_blocks.append(-(D ** -1) * zdiag)
     A_diag = [A_minus[0]]
     for l in range(1, L):
         zdiag = mpmath.matrix(M, M)
         for m in range(M):
-            zdiag[m, m] = red.z[l - 1][m]
+            zdiag[m, m] = z[l - 1][m]
         A_diag.append(A_minus[l] + zdiag * A_plus[l - 1] * zdiag)
     return A_diag, B_blocks
 
 
-def log_det_reduced(grid, red):
+def log_det_reduced(grid):
     """(log|.|, sign) of the minor left after dropping the fourth node row/col.
 
     Closed product form: prod_ell (prod_{m odd} zv + prod_{m even} zv)^2,
-    with m counted 1-based.
+    with m counted 1-based and zv = tanh Kv.
     """
     L, M = grid.spec.L, grid.spec.M
+    zv = tanh_rows(grid.Kv)
     lg, sign = mpf(0), 1
     for l in range(L):
         podd, peven = mpf(1), mpf(1)
         for m in range(M):
             if m % 2 == 0:
-                podd *= red.zv[l][m]
+                podd *= zv[l][m]
             else:
-                peven *= red.zv[l][m]
+                peven *= zv[l][m]
         s = podd + peven
         if s == 0:
             return mpf("-inf"), 0
@@ -124,18 +125,18 @@ def schur_check(grid, digits=40):
     if M % 2:
         raise DomainError("the Schur factorization check supports even M only")
     with working_dps(digits):
-        red = ReducedCouplings.from_grid(grid)
+        z, zv = tanh_rows(grid.Kh), tanh_rows(grid.Kv)
         for l in range(grid.spec.L):
             for m in range(M - 1):
-                if red.zv[l][m] == 0:
+                if zv[l][m] == 0:
                     raise DomainError(
                         "Schur blocks need nonzero vertical couplings on rows m < M"
                     )
         ldA, sA = log_abs_det(build_A(grid, digits))
-        lg_red, s_red = log_det_reduced(grid, red)
+        lg_red, s_red = log_det_reduced(grid)
         if s_red == 0:
             raise DomainError("reduced minor vanishes; factorization undefined")
-        A_diag, B_blocks = _schur_blocks(grid, red)
+        A_diag, B_blocks = _schur_blocks(grid, z, zv)
         L = grid.spec.L
         N = L * M
         C = mpmath.matrix(N, N)
@@ -164,12 +165,11 @@ def log_C1(grid):
     Each 1 - zv^2 = 1/cosh^2 Kv is taken as -2 log cosh Kv, which keeps its
     digits where zv = tanh Kv rounds to 1.
     """
-    red = ReducedCouplings.from_grid(grid)
     L, M = grid.spec.L, grid.spec.M
     total, sign = mpf(0), 1
     for l in range(L - 1):
         for m in range(M):
-            lg, s = signed_log(red.z[l][m])
+            lg, s = signed_log(mpmath.tanh(grid.Kh[l][m]))
             if s == 0:
                 raise DomainError("C1 requires nonzero horizontal couplings for ell < L")
             total += lg
@@ -180,13 +180,25 @@ def log_C1(grid):
     return total, sign
 
 
-def log_C2(grid):
-    """(log|C2|, sign) with C2 = z^M C2t for a homogeneous-z grid."""
-    red = ReducedCouplings.from_grid(grid)
+def log_C2_dagger(grid, digits=40):
+    """(log|C2t|, sign) as the cylinder route sums it from its factors.
+
+    C2t = 2^((L+1)M) prod 1/z_minus, and each 1/z_minus = -sinh 2Kh is
+    negative: the route takes only ferromagnetic couplings, and raises
+    DomainError on a zero one on a column ell < L.
+    """
     L, M = grid.spec.L, grid.spec.M
-    lg, s = log_C2_dagger(grid)
+    with working_dps(digits):
+        lg = cylinder.log_C2_dagger(cylinder.build_factors(grid, digits))
+    return lg, (-1) ** ((L - 1) * M)
+
+
+def log_C2(grid, digits=40):
+    """(log|C2|, sign) with C2 = z^M C2t for a homogeneous-z grid."""
+    L, M = grid.spec.L, grid.spec.M
+    lg, s = log_C2_dagger(grid, digits)
     for m in range(M):
-        z = red.z[0][m] if L > 1 else mpf(1)
+        z = mpmath.tanh(grid.Kh[0][m]) if L > 1 else mpf(1)
         zlg, zs = signed_log(z)
         lg += zlg
         s *= zs
@@ -197,16 +209,17 @@ def constants(grid, digits=40):
     """All global constants applicable to this grid, as log-values.
 
     Returns a dict with log_C0 always, log_C1/log_C2_dagger/log_C2 when the
-    interior horizontal couplings are nonzero (they carry reciprocals), and
-    log_C3 when the grid is homogeneous with z and t inside (0, 1) at the
-    working precision.  The identity C2t = C0 C1 is verified whenever both
-    sides exist.
+    couplings are ferromagnetic and the interior horizontal ones nonzero
+    (they carry reciprocals), and log_C3 when the grid is homogeneous with
+    z and t inside (0, 1) at the working precision.  C0, C2t and C3 come
+    from the code of the Pfaffian, cylinder and spectral routes.  The
+    identity C2t = C0 C1 is verified whenever both sides exist.
     """
     with working_dps(digits):
         out = {"log_C0": log_C0(grid), "digits": digits}
         try:
             lc1, s1 = log_C1(grid)
-            lc2d, s2d = log_C2_dagger(grid)
+            lc2d, s2d = log_C2_dagger(grid, digits)
         except DomainError:
             return out
         out.update(log_C1=lc1, sign_C1=s1, log_C2_dagger=lc2d, sign_C2_dagger=s2d)
@@ -214,7 +227,7 @@ def constants(grid, digits=40):
         defect = abs(out["log_C0"] + lc1 - lc2d)
         if defect > mpf(10) ** (-mp.dps + 10) * (1 + abs(lc2d)) or s1 != s2d:
             raise ConsistencyError(f"constant identity C2t = C0 C1 violated by {defect}")
-        lc2, s2 = log_C2(grid)
+        lc2, s2 = log_C2(grid, digits)
         out["log_C2"] = lc2
         out["sign_C2"] = s2
         try:
@@ -222,9 +235,8 @@ def constants(grid, digits=40):
         except PrecisionError:      # z or t rounds to 1 or 0: C3 has no digits
             hom = None
         if hom is not None:
-            lc3, s3 = log_C3(hom, grid.spec.L, grid.spec.M)
-            out["log_C3"] = lc3
-            out["sign_C3"] = s3
+            zm, tm = pm(hom.z)[1], pm(hom.t)[1]
+            out["log_C3"] = log_C3(hom.z, zm, tm, grid.spec.L, grid.spec.M)
         return out
 
 
@@ -301,7 +313,7 @@ def logZ_via_detM(L, M, z, t, digits=40):
         # homogeneous open grid on the fly for the constant C2
         grid = CouplingGrid.from_scalars(
             LatticeSpec(int(Lm), M), mpmath.atanh(z), mpmath.atanh(dual(t)))
-        lc2, s2 = log_C2(grid)
+        lc2, s2 = log_C2(grid, digits)
         if s2 <= 0:
             raise ConsistencyError("C2 came out nonpositive")
         return lc2 / 2 + ld

@@ -5,7 +5,8 @@ import pytest
 from mpmath import mpf
 
 from isingrect.brute_force import brute_force_logZ
-from isingrect.lattice import PERIODIC, CouplingGrid, LatticeSpec, ReducedCouplings
+from isingrect.cylinder import logZ_cylinder
+from isingrect.lattice import PERIODIC, CouplingGrid, LatticeSpec
 from isingrect.numerics import DomainError, log_abs_det, nstr, working_dps
 from isingrect.pfaffian import build_A, logZ_pfaffian
 from references import log_det_reduced, schur_check
@@ -76,16 +77,24 @@ def test_log_abs_det_of_kasteleyn_matrix_is_plain_elimination(grid):
     assert (det[0], det[1], det.pivot_ratio) == (ref[0], ref[1], ref.pivot_ratio)
 
 
-@pytest.mark.parametrize("L,M,periodic,seed,printed", [
+GOLDEN = [
     (6, 6, False, 61, "33.21998071637803615298972486530427866282"),
     (6, 6, True, 62, "34.77947087442330488366407631565362509806"),
     (8, 8, False, 81, "59.89518355172419285242131741097569685072"),
+]
+
+
+# the Pfaffian cases keep the bare ids; the cylinder's carry a prefix
+@pytest.mark.parametrize("route,L,M,periodic,seed,printed", [
+    pytest.param(route, *case, id=prefix + "-".join(map(str, case)))
+    for route, prefix in ((logZ_pfaffian, ""), (logZ_cylinder, "cylinder-"))
+    for case in GOLDEN
 ])
-def test_printed_digits_are_golden(L, M, periodic, seed, printed):
-    # the 40 digits that the elimination through mpf operators on an
-    # mpmath.matrix printed for these grids
+def test_printed_digits_are_golden(route, L, M, periodic, seed, printed):
+    # the 40 digits that the Pfaffian's elimination through mpf operators on
+    # an mpmath.matrix printed for these grids; the cylinder prints them too
     grid = _random_grid(L, M, seed, periodic)
-    assert nstr(logZ_pfaffian(grid, 40), 40) == printed
+    assert nstr(route(grid, 40), 40) == printed
 
 
 def test_free_limit():
@@ -127,7 +136,6 @@ def test_matches_oracle_negative_couplings():
 def test_reduced_minor_formula_matches_dense():
     grid = _random_grid(2, 4, seed=9, periodic=True)
     with working_dps(40):
-        red = ReducedCouplings.from_grid(grid)
         A = build_A(grid)
         N = grid.spec.nsites
         keep = [i for i in range(4 * N) if i % 4 != 3]    # drop each site's node 3
@@ -136,7 +144,7 @@ def test_reduced_minor_formula_matches_dense():
             for b, j in enumerate(keep):
                 sub[a, b] = A[i][j]
         ld, s = log_abs_det(sub)
-        lg, sf = log_det_reduced(grid, red)
+        lg, sf = log_det_reduced(grid)
         assert s == sf == 1
         assert abs(ld - lg) < mpf("1e-36") * (1 + abs(lg))
 

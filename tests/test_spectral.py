@@ -252,7 +252,7 @@ def test_detM_zero_length_consistency():
         rs = residual_system(sp, 0)
         from isingrect.spectral import log_strip_part, log_zsres
 
-        b = log_strip_part(sp, 0, rs) + log_zsres(rs)
+        b = log_strip_part(sp, rs) + log_zsres(rs)
         assert abs(a - b) == 0
         # and det Mx = |det x| = 1 up to rounding
         X = eigvec_matrix(sp)
@@ -288,7 +288,7 @@ def test_long_strip_limit():
         rs = residual_system(sp, 200)
         assert abs(log_zsres(rs)) < mpf("1e-8")
         total = logZ_spectral(200, 16, z, t)
-        assert abs(total - log_strip_part(sp, 200, rs)) < mpf("1e-8")
+        assert abs(total - log_strip_part(sp, rs)) < mpf("1e-8")
 
 
 def test_find_modes_rejects_odd_M():
