@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mpf
 
 from . import brute_force, cylinder, pfaffian, thermo, validate
-from .lattice import OPEN, PERIODIC, CouplingGrid, HomogeneousCouplings, LatticeSpec
+from .lattice import OPEN, PERIODIC, CouplingGrid, LatticeSpec
 from .numerics import DomainError, PrecisionError, nstr, working_dps
 from .qseries import free_energy_pieces
 
@@ -89,14 +89,6 @@ def _scalar_couplings(grid):
     return None, None   # per-bond grid; scalar columns stay blank
 
 
-def homogeneous_from_grid(grid, digits=40):
-    """HomogeneousCouplings if the grid is open, homogeneous, and ferromagnetic."""
-    Kh, Kv = _scalar_couplings(grid)
-    if grid.spec.bc_vertical != OPEN or Kh is None or Kh <= 0 or Kv <= 0:
-        return None
-    return HomogeneousCouplings.from_K(Kh, Kv, digits)
-
-
 def _eval_row(grid, path, digits):
     L, M = grid.spec.L, grid.spec.M
     blank = [""] * 3
@@ -104,13 +96,12 @@ def _eval_row(grid, path, digits):
         Kh, Kv = _scalar_couplings(grid)
         if path == "spectral":
             # the other paths take any ferromagnetic grid, strong couplings too
-            if homogeneous_from_grid(grid, digits) is None:
+            if grid.spec.bc_vertical != OPEN or Kh is None or Kh <= 0 or Kv <= 0:
                 raise DomainError(
                     "the spectral path needs an open homogeneous rectangle "
                     "with ferromagnetic couplings"
                 )
-            rep = thermo.report(L, M, Kh, Kv, digits)
-            return rep.csv_row()
+            return thermo.report(L, M, Kh, Kv, digits).csv_row()
         if path == "oracle":
             logZ = brute_force.brute_force_logZ(grid, digits).logZ
         elif path == "pfaffian":

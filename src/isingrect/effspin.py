@@ -86,11 +86,9 @@ def z_eff(model):
     if model.M > MAX_M:
         raise DomainError(f"effective-model enumeration is limited to M <= {MAX_M}")
     with working_dps(model.digits):
-        # the empty state has energy 0 and dominates for large fields
-        emin = mpf(0)
         total = mpf(0)
         for occ in _balanced_states(model):
-            total += mpmath.exp(-(_state_energy(model, occ) - emin))
+            total += mpmath.exp(-_state_energy(model, occ))
         return total
 
 

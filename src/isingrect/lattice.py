@@ -11,7 +11,7 @@ wrap couplings Kv[.][M] are zero.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mpf
@@ -172,22 +172,38 @@ class CouplingGrid:
 
 @dataclass(frozen=True)
 class HomogeneousCouplings:
-    """Homogeneous anisotropic couplings for the open-open rectangle.
+    """Homogeneous anisotropic couplings for the open-open rectangle: the
+    spectral route's one coupling record.
 
     z is the bulk horizontal tanh coupling (columns ell < L), t the dual of
-    the bulk vertical tanh coupling (rows m < M).
+    the bulk vertical tanh coupling (rows m < M).  The record also holds the
+    pairs z+-, t+- of pm and B = t- z+/z-, which are all that the mode
+    polynomial, the modes and the strip factor read of the couplings.  They
+    are formed once, at the precision that is active when the record is
+    built, so a record built at the working precision serves every step.
     """
 
     z: mpf
     t: mpf
+    zp: mpf = field(init=False)
+    zm: mpf = field(init=False)
+    tp: mpf = field(init=False)
+    tm: mpf = field(init=False)
+    B: mpf = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.z < 1 and 0 < self.t < 1):
             raise DomainError("homogeneous couplings require 0 < z < 1 and 0 < t < 1")
+        zp, zm = pm(self.z)
+        tp, tm = pm(self.t)
+        for name, value in (("zp", zp), ("zm", zm), ("tp", tp), ("tm", tm),
+                            ("B", tm * zp / zm)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_K(cls, Kh, Kv, digits=40):
-        """Build from reduced couplings Kh, Kv > 0.
+        """Build from reduced couplings Kh, Kv > 0, with the pairs at
+        `digits`.
 
         A positive coupling whose z or t rounds to 0 or 1 at the working
         precision raises PrecisionError; K <= 0 raises DomainError.
@@ -198,9 +214,9 @@ class HomogeneousCouplings:
                 raise DomainError("homogeneous couplings require Kh > 0 and Kv > 0")
             z = mpmath.tanh(Kh)
             t = dual(mpmath.tanh(Kv))
-        if not (0 < z < 1 and 0 < t < 1):
-            raise PrecisionError(
-                f"z = tanh Kh or t = (1 - tanh Kv)/(1 + tanh Kv) rounds to 0 or 1 "
-                f"at {digits} digits"
-            )
-        return cls(z, t)
+            if not (0 < z < 1 and 0 < t < 1):
+                raise PrecisionError(
+                    f"z = tanh Kh or t = (1 - tanh Kv)/(1 + tanh Kv) rounds to 0 or 1 "
+                    f"at {digits} digits"
+                )
+            return cls(z, t)

@@ -360,7 +360,7 @@ def log_det_bipartite_cauchy(c, w, gamma_hat):
             mpf((min(delta[1:]), -F)), F)
 
 
-def bracketed_root(f, a, b, xtol, maxiter=None):
+def bracketed_root(f, a, b, xtol):
     """Root of f in [a, b] with f(a) f(b) < 0, to bracket width <= xtol.
 
     Illinois-damped regula falsi with a bisection fallback; the bracket is
@@ -374,10 +374,8 @@ def bracketed_root(f, a, b, xtol, maxiter=None):
         return b
     if mpmath.sign(fa) == mpmath.sign(fb):
         raise DomainError("invalid bracket: f(a) and f(b) have the same sign")
-    if maxiter is None:
-        maxiter = 8 * mp.dps + 60
     side = 0
-    for _ in range(maxiter):
+    for _ in range(8 * mp.dps + 60):
         if abs(b - a) <= xtol:
             break
         denom = fb - fa

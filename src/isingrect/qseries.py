@@ -308,7 +308,6 @@ class FreeEnergyPieces:
     f_b_reg: mpf
     f_s_reg: mpf
     errata_applied: bool
-    digits: int
 
 
 def free_energy_pieces(K, digits=40, apply_errata=True):
@@ -361,4 +360,4 @@ def free_energy_pieces(K, digits=40, apply_errata=True):
             f_c=f_c_sing,
             f_b_sing=f_b_sing, f_s_sing=f_s_sing, f_c_sing=f_c_sing,
             f_b_reg=f_b_reg, f_s_reg=f_s_reg,
-            errata_applied=apply_errata, digits=digits)
+            errata_applied=apply_errata)

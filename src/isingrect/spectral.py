@@ -40,7 +40,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
-from .lattice import pm
+from .lattice import HomogeneousCouplings
 from .numerics import (
     GUARD_DIGITS,
     ConsistencyError,
@@ -82,9 +82,11 @@ class Mode:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """The M modes of the strip of width M, ordered by lambda_plus, with the
+    coupling record (HomogeneousCouplings) they were found from, at `digits`."""
+
     M: int
-    z: mpf
-    t: mpf
+    couplings: HomogeneousCouplings
     modes: tuple
     digits: int
 
@@ -101,16 +103,14 @@ class Spectrum:
         return [m.sigma for m in self.modes]
 
 
-def char_poly(phi, z, t, M):
-    """The mode polynomial at real phi, or at phi = i psi passed as mpc.
+def char_poly(phi, couplings, M):
+    """The mode polynomial P_M at real phi, or at phi = i psi passed as mpc,
+    for the coupling record `couplings`; it reads t+ and B = t- z+/z-.
 
     The removable singularity at sin(phi) = 0 is evaluated through the limit
     sin(M phi)/sin(phi) -> M cos(M phi)/cos(phi).
     """
-    z, t = to_mpf(z), to_mpf(t)
-    tp, tm = pm(t)
-    zp, zm = pm(z)
-    B = tm * zp / zm
+    tp, B = couplings.tp, couplings.B
     if isinstance(phi, mpc):
         if phi.real != 0:
             raise DomainError("phi must be real or purely imaginary")
@@ -171,6 +171,8 @@ def _polish(f, fd, lo, hi, seed, M, xtol):
 
 def find_modes(z, t, M, digits=40):
     """All M modes, ordered by lambda_plus ascending (the soft mode first).
+    z and t form the coupling record at the working precision, and the
+    returned Spectrum carries it.
 
     With B = t- z+/z-, the function Q = sin(phi) P_M(phi) equals
     sin(phi) cos(M phi) + (t+ cos(phi) - B) sin(M phi), which is
@@ -199,18 +201,14 @@ def find_modes(z, t, M, digits=40):
     if M < 2 or M % 2:
         raise DomainError("the spectral route requires even M >= 2")
     with working_dps(digits):
-        z, t = to_mpf(z), to_mpf(t)
-        if not (0 < z < 1 and 0 < t < 1):
-            raise DomainError("find_modes requires 0 < z < 1 and 0 < t < 1")
-        tp, tm = pm(t)
-        zp, zm = pm(z)
+        cp = HomogeneousCouplings(to_mpf(z), to_mpf(t))
+        zp, zm, tp, tm, B = cp.zp, cp.zm, cp.tp, cp.tm, cp.B
         # z- = (z - 1/z)/2 cancels about log10(z+/|z-|) digits, and t- alike;
         # every later step inherits the loss, at any precision
         if max(zp / -zm, tp / -tm) > 10 ** GUARD_DIGITS:
             raise PrecisionError(
                 f"z or t lies within 10^-{GUARD_DIGITS} of 1: forming z- or t- "
                 "would cancel more digits than the guard holds")
-        B = tm * zp / zm
         p0 = 1 + M * (tp - B)
         if abs(p0) <= M * (tp + B) * mp.eps:
             raise PrecisionError(
@@ -220,7 +218,7 @@ def find_modes(z, t, M, digits=40):
         ftp, fB = float(tp), float(B)
 
         def f_real(phi):
-            return char_poly(phi, z, t, M)
+            return char_poly(phi, cp, M)
 
         def fd_real(phi):
             c1, s1 = mpmath.cos_sin(phi)
@@ -236,7 +234,7 @@ def find_modes(z, t, M, digits=40):
             hi = mpmath.acosh((tp * zp - 1) / (tm * zm)) + xtol
 
             def f_imag(psi):
-                return char_poly(mpc(0, psi), z, t, M)
+                return char_poly(mpc(0, psi), cp, M)
 
             def fd_imag(psi):
                 sh, ch, th = mpmath.sinh(psi), mpmath.cosh(psi), mpmath.tanh(M * psi)
@@ -261,8 +259,9 @@ def find_modes(z, t, M, digits=40):
         out = []
         for i, (kind, phi, c, gh) in enumerate(modes):
             sg = 1 if i % 2 == 0 else -1
-            out.append(Mode(kind=kind, phi=phi, c=c, gamma_hat=gh, sigma=sg,
-                            lam_hat=mpmath.exp(gh), lam=mpmath.exp(sg * gh)))
+            lam_hat = mpmath.exp(gh)
+            out.append(Mode(kind=kind, phi=phi, c=c, gamma_hat=gh, sigma=sg, lam_hat=lam_hat,
+                            lam=lam_hat if sg > 0 else mpmath.exp(-gh)))
         for a, b in zip(out, out[1:]):
             if abs(a.c - b.c) < mpf(10) ** (-mpf(digits) / 2):
                 raise PrecisionError(
@@ -270,10 +269,10 @@ def find_modes(z, t, M, digits=40):
                 )
         # alternating sum of gamma_hat telescopes to log t; a miss here means
         # a root was dropped or duplicated
-        defect = abs(sum(m.sigma * m.gamma_hat for m in out) - mpmath.log(t))
+        defect = abs(sum(m.sigma * m.gamma_hat for m in out) - mpmath.log(cp.t))
         if defect > mpf(10) ** (-mpf(digits) / 2):
             raise PrecisionError(f"mode-product identity violated by {defect}")
-        return Spectrum(M=M, z=z, t=t, modes=tuple(out), digits=digits)
+        return Spectrum(M=M, couplings=cp, modes=tuple(out), digits=digits)
 
 
 @dataclass
@@ -349,7 +348,7 @@ def residual_system(spectrum, L, digits=None):
     """Assemble the residual Cauchy system at (real) strip length L >= 0,
     with log det(1 + Y) and its L-derivative."""
     digits = digits or spectrum.digits
-    M, z, t = spectrum.M, spectrum.z, spectrum.t
+    M, z, t = spectrum.M, spectrum.couplings.z, spectrum.couplings.t
     with working_dps(digits):
         L = to_mpf(L)
         if L < 0:
@@ -451,11 +450,10 @@ def log_strip_part(spectrum, rs):
     Signs are tracked and the bracket is required to be positive for
     integer L (positivity of Z^2 / det(1+Y)^2).
     """
-    M, z, t, L = spectrum.M, spectrum.z, spectrum.t, rs.L
+    M, cp, L = spectrum.M, spectrum.couplings, rs.L
+    zp, zm, tp, tm = cp.zp, cp.zm, cp.tp, cp.tm
     with working_dps(spectrum.digits):
-        zp, zm = pm(z)
-        tp, tm = pm(t)
-        lg = log_C3(z, zm, tm, L, M) + 2 * rs.log_d_oe
+        lg = log_C3(cp.z, zm, tm, L, M) + 2 * rs.log_d_oe
         sign = 1
         for mu, md in enumerate(spectrum.modes):
             lamm_hat = mpmath.sinh(md.gamma_hat)
@@ -470,7 +468,7 @@ def log_strip_part(spectrum, rs):
             if sum(abs(p) for p in parts) <= 10 ** GUARD_DIGITS * abs(den):
                 ratio = num / den
             elif mu == 0:
-                ratio = _soft_ratio(md, z, t, M)
+                ratio = _soft_ratio(md, cp.z, cp.t, M)
             else:
                 raise PrecisionError(
                     f"the normalisation of mode {mu} cancels more digits than "

@@ -40,7 +40,6 @@ class ThermoReport:
     F_strip: mpf
     F_strip_res: mpf
     casimir_strip: mpf
-    corner_residual: mpf = None
     digits: int = 40
 
     def csv_row(self):
@@ -87,7 +86,6 @@ class CornerExtraction:
     residual: mpf      # size of the last extrapolation step
     monotone: bool     # False flags a non-converging (too critical) extraction
     sizes: tuple
-    digits: int
 
 
 def extract_corner(K, sizes, digits=40, apply_errata=True):
@@ -104,7 +102,7 @@ def extract_corner(K, sizes, digits=40, apply_errata=True):
     sizes = sorted(int(s) for s in sizes)
     with working_dps(digits):
         K = to_mpf(K)
-        pieces = free_energy_pieces(K, digits, apply_errata=apply_errata)
+        pieces = free_energy_pieces(K, digits)
         hom = HomogeneousCouplings.from_K(K, K, digits)
         consts = []
         for s in sizes:
@@ -132,4 +130,4 @@ def extract_corner(K, sizes, digits=40, apply_errata=True):
         if apply_errata and K > Kc:
             fc = fc + mpmath.log(mpf(2))  # remove the two-phase constant
         return CornerExtraction(f_c=fc, residual=residual, monotone=monotone,
-                                sizes=tuple(sizes), digits=digits)
+                                sizes=tuple(sizes))

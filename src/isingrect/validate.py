@@ -91,12 +91,11 @@ class CheckResult:
     defect: mpf
     tolerance: mpf
     passed: bool
-    note: str = ""
 
 
-def _result(name, defect, tolerance, note=""):
+def _result(name, defect, tolerance):
     return CheckResult(name=name, defect=defect, tolerance=tolerance,
-                       passed=bool(defect <= tolerance), note=note)
+                       passed=bool(defect <= tolerance))
 
 
 def _K_set():
@@ -158,7 +157,6 @@ class T2System:
     T2: mpmath.matrix
     T_plus: mpmath.matrix
     T_minus: mpmath.matrix
-    digits: int
 
 
 def build_T2(z, t, M, digits=40):
@@ -199,25 +197,25 @@ def build_T2(z, t, M, digits=40):
                 T2[M + i, M + j] = Tplus[i, j]
                 T2[i, M + j] = Tminus[i, j]
                 T2[M + i, j] = Tminus[i, j]
-        return T2System(T2=T2, T_plus=Tplus, T_minus=Tminus, digits=digits)
+        return T2System(T2=T2, T_plus=Tplus, T_minus=Tminus)
 
 
-def check_spectral_identities(digits, M_list=(4, 6, 8, 16, 32)):
+def check_spectral_identities(digits):
     """Mode residuals, the sin(M phi)/sin(phi) identity, prod lambda = t,
     and the dense transfer-matrix eigenvalue multiset."""
     out = []
     _, Kc = critical_coupling_isotropic()
-    for M in M_list:
+    for M in (4, 6, 8, 16, 32):
         for label, K in [("above", mpf("0.3")), ("crit", Kc), ("below", mpf("0.6"))]:
             hom = HomogeneousCouplings.from_K(K, K, digits)
             with working_dps(digits):
                 sp = spectral.find_modes(hom.z, hom.t, M, digits)
-                zm = (hom.z - 1 / hom.z) / 2
+                zm = sp.couplings.zm
                 res = mpf(0)
                 d44 = mpf(0)
                 for md in sp.modes:
                     phi = md.phi_signed
-                    res = max(res, abs(spectral.char_poly(phi, hom.z, hom.t, M)))
+                    res = max(res, abs(spectral.char_poly(phi, sp.couplings, M)))
                     # sin(M phi)/sin(phi) = -z_minus/lambda_minus at every mode
                     lamm = mpmath.sinh(md.sigma * md.gamma_hat)
                     if md.kind == "imag":
@@ -242,15 +240,14 @@ def check_spectral_identities(digits, M_list=(4, 6, 8, 16, 32)):
     return out
 
 
-def log_zsres_closed_L0(spectrum, digits=None):
+def log_zsres_closed_L0(spectrum):
     """Closed product for det(1 + Y) at L = 0; the overall sign is fixed
     positive (it depends only on index bookkeeping)."""
-    digits = digits or spectrum.digits
-    M, z, t = spectrum.M, spectrum.z, spectrum.t
-    with working_dps(digits):
+    M, cp = spectrum.M, spectrum.couplings
+    z, t, zm = cp.z, cp.t, cp.zm
+    with working_dps(spectrum.digits):
         lam = [m.lam for m in spectrum.modes]
         sig = spectrum.sigma
-        zm = pm(z)[1]
         odd = list(range(0, M, 2))
         even = list(range(1, M, 2))
         lg = (M // 2) * mpmath.log(abs(2 * t * zm))
@@ -286,7 +283,7 @@ def check_residual_equivalences(digits):
             sp = spectral.find_modes(hom.z, hom.t, M, digits)
             rs = spectral.residual_system(sp, 0, digits)
             a = spectral.log_zsres(rs)
-            b = log_zsres_closed_L0(sp, digits)
+            b = log_zsres_closed_L0(sp)
             out.append(_result(f"detY-vs-closedL0-M{M}",
                                abs(mpmath.expm1(a - b)), mpf(10) ** -8))
         hom3 = HomogeneousCouplings.from_K(mpf("0.3"), mpf("0.3"), digits)

@@ -15,8 +15,8 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from isingrect import cylinder
-from isingrect.cli import homogeneous_from_grid
-from isingrect.lattice import CouplingGrid, LatticeSpec, dual, pm
+from isingrect.cli import _scalar_couplings
+from isingrect.lattice import OPEN, CouplingGrid, HomogeneousCouplings, LatticeSpec, dual
 from isingrect.numerics import (
     ConsistencyError,
     DomainError,
@@ -230,13 +230,13 @@ def constants(grid, digits=40):
         lc2, s2 = log_C2(grid, digits)
         out["log_C2"] = lc2
         out["sign_C2"] = s2
-        try:
-            hom = homogeneous_from_grid(grid, digits)
-        except PrecisionError:      # z or t rounds to 1 or 0: C3 has no digits
-            hom = None
-        if hom is not None:
-            zm, tm = pm(hom.z)[1], pm(hom.t)[1]
-            out["log_C3"] = log_C3(hom.z, zm, tm, grid.spec.L, grid.spec.M)
+        Kh, Kv = _scalar_couplings(grid)
+        if grid.spec.bc_vertical == OPEN and Kh is not None:
+            try:
+                hom = HomogeneousCouplings.from_K(Kh, Kv, digits)
+            except (DomainError, PrecisionError):   # K <= 0, or z or t rounds to 1 or 0
+                return out
+            out["log_C3"] = log_C3(hom.z, hom.zm, hom.tm, grid.spec.L, grid.spec.M)
         return out
 
 
@@ -252,10 +252,9 @@ def eigvec_matrix(spectrum, digits=None):
     squared trigonometric factors.
     """
     digits = digits or spectrum.digits
-    M, z, t = spectrum.M, spectrum.z, spectrum.t
+    M, cp = spectrum.M, spectrum.couplings
+    z, t, zp, zm, tp, tm = cp.z, cp.t, cp.zp, cp.zm, cp.tp, cp.tm
     with working_dps(digits):
-        zp, zm = pm(z)
-        tp, tm = pm(t)
         X = mpmath.matrix(M, M)
         imag_tol = mpf(10) ** (-mp.dps + 10)
         for mu, md in enumerate(spectrum.modes):

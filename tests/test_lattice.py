@@ -12,7 +12,7 @@ from isingrect.lattice import (
     dual,
     pm,
 )
-from isingrect.cli import homogeneous_from_grid
+from isingrect.cli import _eval_row, _scalar_couplings
 from isingrect.cylinder import build_factors
 from isingrect.numerics import DomainError, PrecisionError, working_dps
 from isingrect.spectral import log_C3
@@ -110,7 +110,7 @@ def test_constants_identity_and_C3_shape():
     grid = CouplingGrid.from_scalars(LatticeSpec(2, 2), "0.5", "0.5")
     with working_dps(40):
         c = constants(grid)  # would raise if C2t != C0*C1
-        hom = homogeneous_from_grid(grid)
+        hom = HomogeneousCouplings.from_K("0.5", "0.5")
         # C3 at L = M = 2 equals z^2 (2/z-)^4 (2/(t- z-))^2, positive
         zp, zm = pm(hom.z)
         tp, tm = pm(hom.t)
@@ -149,16 +149,37 @@ def test_homogeneous_nonpositive_coupling_is_domain(Kh, Kv):
 
 def test_homogeneous_detection():
     grid = CouplingGrid.from_scalars(LatticeSpec(3, 4), "0.2", "0.6")
-    hom = homogeneous_from_grid(grid)
+    hom = HomogeneousCouplings.from_K(*_scalar_couplings(grid))
     with working_dps(40):
         assert abs(hom.z - mpmath.tanh(mpf("0.2"))) < mpf("1e-42")
         assert abs(hom.t - dual(mpmath.tanh(mpf("0.6")))) < mpf("1e-42")
-    # disordered grid is not homogeneous
+    # disordered grid is not homogeneous, and the spectral path refuses it
     kh = [[mpf("0.2")] * 4, [mpf("0.3")] * 4, [mpf(0)] * 4]
     kv = [[mpf("0.6"), mpf("0.6"), mpf("0.6"), mpf(0)]] * 3
-    assert homogeneous_from_grid(CouplingGrid(LatticeSpec(3, 4), kh, kv)) is None
+    disordered = CouplingGrid(LatticeSpec(3, 4), kh, kv)
+    assert _scalar_couplings(disordered) == (None, None)
+    periodic = CouplingGrid.from_scalars(LatticeSpec(3, 4, PERIODIC), "0.2", "0.6")
+    antiferro = CouplingGrid.from_scalars(LatticeSpec(3, 4), "0.2", "-0.6")
+    for g in (disordered, periodic, antiferro):
+        with pytest.raises(DomainError, match="open homogeneous rectangle"):
+            _eval_row(g, "spectral", 40)
 
 
 def test_homogeneous_domain():
     with pytest.raises(DomainError):
         HomogeneousCouplings(z=mpf("1.2"), t=mpf("0.5"))
+
+
+@pytest.mark.parametrize("digits", [40, 60])
+def test_record_pairs_are_formed_at_the_working_precision(digits):
+    # from_K is called at mpmath's default precision, yet forms the pairs
+    # at `digits`, bit for bit as pm and B's formula give them there
+    with mpmath.mp.workdps(15):
+        hom = HomogeneousCouplings.from_K("0.3", "0.5", digits)
+    with working_dps(digits):
+        zp, zm = pm(hom.z)
+        tp, tm = pm(hom.t)
+        expect = (zp, zm, tp, tm, tm * zp / zm)
+    got = (hom.zp, hom.zm, hom.tp, hom.tm, hom.B)
+    assert [x._mpf_ for x in got] == [x._mpf_ for x in expect]
+    assert all(x._mpf_[3] > 53 for x in got)   # more bits than a 15-digit pm keeps

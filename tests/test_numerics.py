@@ -298,11 +298,12 @@ def test_bracketed_root_residual_small(k):
 def test_bracketed_root_on_mode_polynomial():
     # find one mode angle of the width-6 strip from a coarse bracket and
     # verify the residual through the polynomial itself
+    from isingrect.lattice import HomogeneousCouplings
     from isingrect.spectral import char_poly
 
     with working_dps(40):
-        z, t = mpf("0.4"), mpf("0.55")
-        f = lambda phi: char_poly(phi, z, t, 6)
+        couplings = HomogeneousCouplings(mpf("0.4"), mpf("0.55"))
+        f = lambda phi: char_poly(phi, couplings, 6)
         lo, hi = mpf("0.3"), mpf("0.4")
         assert f(lo) * f(hi) < 0
         r = bracketed_root(f, lo, hi, mpf("1e-42"))

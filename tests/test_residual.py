@@ -139,7 +139,7 @@ def test_gf_definitions():
     # reproduce them, and w = lam_hat^(-L) v = -p (f/g)^sigma
     with working_dps(40):
         sp = _spectrum(mpf("0.45"), 4)
-        z, t = sp.z, sp.t
+        z, t = sp.couplings.z, sp.couplings.t
         L = mpf(3)
         rs = residual_system(sp, L)
         p = _regularized_products(rs)

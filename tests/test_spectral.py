@@ -1,3 +1,5 @@
+import sys
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,10 @@ from isingrect.brute_force import brute_force_logZ
 from isingrect.cylinder import logZ_cylinder
 from isingrect.lattice import CouplingGrid, HomogeneousCouplings, LatticeSpec, pm
 from isingrect.numerics import PrecisionError, working_dps
-from isingrect import spectral
+from isingrect import lattice, spectral
 from isingrect.pfaffian import logZ_pfaffian
 from isingrect.spectral import char_poly, find_modes, logZ_spectral, residual_system
+from isingrect.thermo import report
 from isingrect.validate import build_T2
 from references import eigvec_matrix, logZ_via_detM
 
@@ -31,8 +34,33 @@ def test_char_poly_zero_limit():
         tp, tm = pm(t)
         zp, zm = pm(z)
         expect = 1 + 6 * (tp - tm * zp / zm)
-        tiny = char_poly(mpf("1e-42"), z, t, 6)
+        tiny = char_poly(mpf("1e-42"), _hom(K_ABOVE), 6)
         assert abs(tiny - expect) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("phi,M,printed", [
+    ("0.7", 16, "-0.02797127701434826897284952665667078170153"),
+    # 1e-42 sits at the limit branch's threshold, 1e-45 below it
+    ("1e-42", 6, "3.58440724321708813318279502240866437599"),
+    ("1e-45", 6, "3.58440724321708813318279502240866437599"),
+    ("0.25j", 16, "77.86381571522774048475606312047393664079"),
+], ids=["real", "sin-limit", "sin-limit-branch", "imaginary"])
+def test_char_poly_printed_digits_are_golden(phi, M, printed):
+    with working_dps(40):
+        phi = mpc(0, mpf(phi[:-1])) if phi.endswith("j") else mpf(phi)
+        couplings = HomogeneousCouplings.from_K("0.3", "0.3", 40)
+        assert mpmath.nstr(char_poly(phi, couplings, M), 40) == printed
+
+
+def test_report_forms_the_pairs_once_per_record(monkeypatch):
+    # from_K forms z+- and t+- for its record and find_modes for its own;
+    # every later spectral step reads them from the record
+    orig, calls = lattice.pm, []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isingrect") and getattr(module, "pm", None) is orig:
+            monkeypatch.setattr(module, "pm", lambda a: calls.append(a) or orig(a))
+    report(16, 48, "0.2", "0.2", 40)
+    assert len(calls) <= 4
 
 
 def test_char_poly_M2_quadratic_roots():
@@ -65,7 +93,7 @@ def test_mode_identities(K, label, M, Kc):
             assert md.sigma == (1 if mu % 2 == 0 else -1)
             assert md.lam_hat > 1 and md.gamma_hat > 0
             # root residual
-            assert abs(char_poly(md.phi_signed, z, t, M)) < mpf("1e-30")
+            assert abs(char_poly(md.phi_signed, sp.couplings, M)) < mpf("1e-30")
             # ratio identity fixes the parity ordering mode by mode
             lamm = mpmath.sinh(md.sigma * md.gamma_hat)
             if md.kind == "imag":
@@ -362,9 +390,10 @@ def test_mode_brackets_and_certificate(z, t, half):
         for k, md in enumerate(sp.modes, start=1):
             if md.kind == "real":
                 assert mpmath.pi * (k - 1) / M < md.phi < mpmath.pi * k / M
-                ends = [char_poly(md.phi + s * xtol / 2, z, t, M) for s in (-1, 1)]
+                ends = [char_poly(md.phi + s * xtol / 2, sp.couplings, M) for s in (-1, 1)]
             else:
-                ends = [char_poly(mpc(0, md.phi + s * xtol / 2), z, t, M) for s in (-1, 1)]
+                ends = [char_poly(mpc(0, md.phi + s * xtol / 2), sp.couplings, M)
+                        for s in (-1, 1)]
             assert ends[0] * ends[1] <= 0
 
 
