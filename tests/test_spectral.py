@@ -30,17 +30,18 @@ def _hom_zt(K):
 
 def test_char_poly_zero_limit():
     with working_dps(40):
-        z, t = _hom_zt(K_ABOVE)
-        tp, tm = pm(t)
-        zp, zm = pm(z)
+        h = _hom(K_ABOVE)
+        tp, tm = pm(h.t)
+        zp, zm = pm(h.z)
         expect = 1 + 6 * (tp - tm * zp / zm)
-        tiny = char_poly(mpf("1e-42"), _hom(K_ABOVE), 6)
+        tiny = char_poly(mpf("1e-42"), h, 6)
         assert abs(tiny - expect) < mpf("1e-30")
 
 
 @pytest.mark.parametrize("phi,M,printed", [
     ("0.7", 16, "-0.02797127701434826897284952665667078170153"),
-    # 1e-42 sits at the limit branch's threshold, 1e-45 below it
+    # at 50 working digits sin(1e-42) equals the limit branch's threshold,
+    # so the general form runs; 1e-45 takes the limit branch
     ("1e-42", 6, "3.58440724321708813318279502240866437599"),
     ("1e-45", 6, "3.58440724321708813318279502240866437599"),
     ("0.25j", 16, "77.86381571522774048475606312047393664079"),
